@@ -101,11 +101,7 @@ class AnsatzBuilder:
             coef = (z1 ** (nd - ks)[:, None] *
                     _safe_pow(z2, pcs[None, :] - ks[:, None]) *
                     (1.0 + z1 * z2) ** ks[:, None])
-        amps = np.zeros(self.basis.dim, dtype=np.complex128)
-        flat = coef.ravel()
-        for m in range(self.covers.count):
-            amps += flat[self.FLAT[m]]
-        return self._normalized(amps)
+        return self._accumulate(coef)
 
     def build_vacuum_limb(self, w1, z2):
         """Normalized state with w1 = 1/z1 (w1 = 0 is the exact limit)."""
@@ -116,18 +112,19 @@ class AnsatzBuilder:
         pcs = np.arange(self.basis.n_atoms + 1)
         coef = (_safe_pow(z2, pcs[None, :] - ks[:, None]) *
                 (w1 + z2) ** ks[:, None])
-        amps = np.zeros(self.basis.dim, dtype=np.complex128)
-        flat = coef.ravel()
-        for m in range(self.covers.count):
-            amps += flat[self.FLAT[m]]
-        return self._normalized(amps)
+        return self._accumulate(coef)
 
     def build_params(self, params):
         if params.vacuum_limit:
             return self.build_vacuum_limb(0.0, params.z2)
         return self.build(params.z1, params.z2)
 
-    def _normalized(self, amps):
+    def _accumulate(self, coef):
+        """Normalized state with amplitudes sum_m coef[K[m, c], pc(c)]."""
+        amps = np.zeros(self.basis.dim, dtype=np.complex128)
+        flat = coef.ravel()
+        for m in range(self.covers.count):
+            amps += flat[self.FLAT[m]]
         nrm = np.linalg.norm(amps)
         if nrm == 0.0:
             raise AnsatzError("ansatz state vanishes identically")

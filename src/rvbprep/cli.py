@@ -147,6 +147,14 @@ class Run:
         self.manifest["status"] = "done"
         self._write()
 
+    def fail(self, exc):
+        """Mark the run failed with the error that stopped it; only a
+        killed process leaves ``status: running`` behind."""
+        self.manifest["wall_clock_s"] = round(time.time() - self.t0, 3)
+        self.manifest["status"] = "failed"
+        self.manifest["error"] = "%s: %s" % (type(exc).__name__, exc)
+        self._write()
+
 
 # --- shared builders ------------------------------------------------------
 
@@ -310,34 +318,12 @@ def cmd_tn_grid(cfg, run):
         order = list(z1s) if i2 % 2 == 0 else list(z1s)[::-1]
         row = []
         for z1 in order:
-            if fd_mode == "grid":
-                # density only per point; dn/dz1 from neighbouring columns
-                tm = tnet.cylinder_transfer(float(z1), float(z2), L, projected)
-                b = tnet.dominant_eigenpair(
-                    tm, tol,
-                    right0=None if warm is None else warm["right"],
-                    left0=None if warm is None else warm["left"],
-                    compute_lam1=compute_xi)
-                warm = {"right": b.right, "left": b.left}
-                rec = {
-                    "z1": float(z1), "z2": float(z2),
-                    "density": tnet.mean_density(tm, b, tol),
-                    "dn_dz1": np.nan,
-                    "xi": (tnet.correlation_length(tm, b)
-                           if compute_xi else np.nan),
-                    "bffm_z_l18": (tnet.bffm(tm, loop_z, b, x_type=False,
-                                             tol=tol)
-                                   if loop_z is not None else np.nan),
-                    "bffm_x_l18": (tnet.bffm(tm, loop_x, b, x_type=True,
-                                             tol=tol)
-                                   if loop_x is not None and projected
-                                   else np.nan),
-                }
-            else:
-                rec, warm = tnet.phase_diagram_point(
-                    float(z1), float(z2), L, projected, loop_z, loop_x,
-                    fd_step=fd_step, tol=tol, compute_xi=compute_xi,
-                    warm=warm)
+            # fd: grid differences the densities of neighbouring columns
+            # below instead of solving two more points per column
+            rec, warm = tnet.phase_diagram_point(
+                float(z1), float(z2), L, projected, loop_z, loop_x,
+                fd_step=fd_step if fd_mode == "local" else None, tol=tol,
+                compute_xi=compute_xi, warm=warm)
             row.append(rec)
         row.sort(key=lambda r: r["z1"])
         if fd_mode == "grid":
@@ -377,7 +363,6 @@ def cmd_tee(cfg, run):
     cluster = tee_cluster(n_atoms)
     regions = kitaev_preskill_regions(cluster)
     covers = enumerate_maximal_covers(cluster)
-    budget = cfg.get("budget_gib", 4.0)
     outputs = []
     if cfg.get("source", "ansatz") == "ansatz":
         basis = enumerate_basis(constraint_graph(cluster, 2.0))
@@ -390,7 +375,7 @@ def cmd_tee(cfg, run):
                 psi = builder.build_vacuum_limb(0.0, pt.get("z2", 0.0))
             else:
                 psi = builder.build(pt.get("z1", 0.0), pt.get("z2", 0.0))
-            rep = entangle.topological_entropy_report(psi, regions, budget)
+            rep = entangle.topological_entropy_report(psi, regions)
             labeled.append((label, rep))
             gammas.append({"label": label, "gamma": rep.gamma,
                            "components": rep.components})
@@ -415,9 +400,10 @@ def cmd_tee(cfg, run):
             fh.write("t,gamma_raw,gamma_abs\n")
             for t in checks:
                 psi = traj.snapshots[t]
-                g_raw = entangle.topological_entropy(psi, regions, budget)
-                g_abs = entangle.topological_entropy(abs_state(psi), regions,
-                                                     budget)
+                g_raw = entangle.topological_entropy_report(
+                    psi, regions).gamma
+                g_abs = entangle.topological_entropy_report(
+                    abs_state(psi), regions).gamma
                 fh.write("%.17g,%.17g,%.17g\n" % (t, g_raw, g_abs))
         outputs.append("gamma_sweep.csv")
     return outputs
@@ -586,23 +572,6 @@ VERBS = {
 }
 
 
-def run_experiment(name, config_path=None, out_dir=None):
-    """Run a named experiment; returns the output directory."""
-    if name not in EXPERIMENT_DEFAULTS:
-        raise ConfigError("unknown experiment %r (have: %s)"
-                          % (name, ", ".join(sorted(EXPERIMENT_DEFAULTS))))
-    verb, cfg = EXPERIMENT_DEFAULTS[name]
-    cfg = dict(cfg)
-    if config_path is not None:
-        cfg.update(load_config(config_path))
-    out_dir = out_dir or os.path.join(
-        os.environ.get(OUTPUT_ROOT_ENV, "runs"), name)
-    run = Run(out_dir, name, cfg)
-    outputs = VERBS[verb](cfg, run)
-    run.finish(outputs)
-    return out_dir
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="rvbprep",
@@ -614,22 +583,17 @@ def main(argv=None):
         p.add_argument("--experiment",
                        help="named experiment supplying default config")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--threads", type=int, default=0,
-                       help="worker threads (0 = library default)")
-        p.add_argument("--budget-gib", type=float, default=4.0)
     args = parser.parse_args(argv)
 
-    if args.threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     try:
         cfg = {}
         name = args.experiment
         if name is not None:
             verb, cfg = EXPERIMENT_DEFAULTS.get(name, (None, None))
             if cfg is None:
-                raise ConfigError("unknown experiment %r" % name)
+                raise ConfigError(
+                    "unknown experiment %r (have: %s)"
+                    % (name, ", ".join(sorted(EXPERIMENT_DEFAULTS))))
             if verb != args.verb:
                 raise ConfigError(
                     "experiment %s belongs to verb %s" % (name, verb))
@@ -638,12 +602,14 @@ def main(argv=None):
             cfg.update(load_config(args.config))
         if not cfg and args.verb != "verify":
             raise ConfigError("provide --config and/or --experiment")
-        cfg.setdefault("budget_gib", args.budget_gib)
         out_dir = args.out or os.path.join(
             os.environ.get(OUTPUT_ROOT_ENV, "runs"), name or args.verb)
         run = Run(out_dir, name or args.verb, cfg)
-        outputs = VERBS[args.verb](cfg, run)
-        run.finish(outputs)
+        try:
+            run.finish(VERBS[args.verb](cfg, run))
+        except BaseException as exc:
+            run.fail(exc)
+            raise
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2

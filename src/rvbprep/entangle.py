@@ -13,7 +13,6 @@ signals Z2 topological order, while trivial states give gamma near zero.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,18 +103,6 @@ def entanglement_entropy(psi, region, budget_gib=4.0, top_k=8):
                          schmidt_rank=len(nz), tail_bound=tail)
 
 
-def topological_entropy(psi, regions, budget_gib=4.0):
-    """gamma = S_AB + S_BC + S_AC - S_A - S_B - S_C - S_ABC."""
-    a, b, c = (frozenset(r) for r in regions)
-    if a & b or b & c or a & c:
-        raise EntangleError("regions A, B, C must be disjoint")
-    combos = {"A": a, "B": b, "C": c, "AB": a | b, "BC": b | c,
-              "AC": a | c, "ABC": a | b | c}
-    s = {k: entanglement_entropy(psi, r, budget_gib).entropy
-         for k, r in combos.items()}
-    return s["AB"] + s["BC"] + s["AC"] - s["A"] - s["B"] - s["C"] - s["ABC"]
-
-
 def topological_entropy_report(psi, regions, budget_gib=4.0):
     """EntropyReport of ABC with gamma and the component entropies attached."""
     a, b, c = (frozenset(r) for r in regions)
@@ -142,17 +129,3 @@ def reports_to_csv(labeled_reports, path):
             tops = ";".join("%.17g" % s for s in rep.schmidt[:8])
             fh.write("%s,%d,%.17g,%s\n"
                      % (label, rep.n_atoms, rep.entropy, tops))
-
-
-def gamma_report_json(report, path, extra=None):
-    data = {
-        "gamma": report.gamma,
-        "components": report.components,
-        "n_atoms_abc": report.n_atoms,
-        "tail_bound": report.tail_bound,
-    }
-    if extra:
-        data.update(extra)
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")

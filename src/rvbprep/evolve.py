@@ -267,18 +267,3 @@ def trajectory_to_csv(traj, path):
                    traj.rvb_overlap[i], traj.density[i]]
             row += list(traj.sector_weights[i])
             fh.write(",".join("%.17g" % x for x in row) + "\n")
-
-
-def save_state(path, psi):
-    np.savez_compressed(path, configs=psi.basis.configs,
-                        n_atoms=psi.basis.n_atoms, radius=psi.basis.radius,
-                        amplitudes=psi.amplitudes)
-
-
-def load_state(path):
-    from .hilbert import ConstrainedBasis
-    data = np.load(path)
-    basis = ConstrainedBasis(n_atoms=int(data["n_atoms"]),
-                             configs=data["configs"],
-                             radius=float(data["radius"]))
-    return StateVector(basis, data["amplitudes"])

@@ -88,12 +88,10 @@ class StateVector:
         w = np.abs(self.amplitudes) ** 2
         dens = np.empty(self.basis.n_atoms)
         for i in range(self.basis.n_atoms):
-            bits = (self.configs_shifted(i) & np.uint64(1)).astype(np.float64)
+            bits = ((self.basis.configs >> np.uint64(i))
+                    & np.uint64(1)).astype(np.float64)
             dens[i] = float(bits @ w)
         return dens
-
-    def configs_shifted(self, i):
-        return self.basis.configs >> np.uint64(i)
 
     def sector_weights(self):
         """Probability per excitation-number sector, index = excitation count."""

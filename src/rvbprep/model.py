@@ -142,14 +142,6 @@ def diagonal_interaction(basis, cluster, constraint_radius, cutoff):
     return diag
 
 
-def apply_hamiltonian(op, psi, omega, delta):
-    """H psi for a StateVector; see HamiltonianOperator.apply for arrays."""
-    from .hilbert import StateVector
-    if psi.basis is not op.basis and psi.basis.dim != op.dim:
-        raise ModelError("state vector basis does not match operator basis")
-    return StateVector(op.basis, op.apply(psi.amplitudes, omega, delta))
-
-
 # --- sweep schedules -----------------------------------------------------
 
 class _PiecewiseLinear:
@@ -259,16 +251,3 @@ class SweepSchedule:
         if f(lo) > 0 or f(hi) < 0:
             raise ModelError("detuning ratio %.3f not reached in stage 2" % ratio)
         return brentq(f, lo, hi, xtol=1e-12 * self.total_time)
-
-    def to_dict(self):
-        return {
-            "total_time": self.total_time,
-            "t1": self.t1, "t2": self.t2, "t3": self.t3,
-            "delta0": self.delta0, "delta1": self.delta1,
-            "smoothing_window": self.smoothing_window,
-        }
-
-
-def schedule_eval(schedule, t):
-    """(Omega, Delta) at time t."""
-    return schedule.omega(t), schedule.delta(t)

@@ -23,9 +23,6 @@ import numpy as np
 
 from .geometry import triangle_vertices
 
-# side j of a triangle joins vertex slots SIDES[j]
-SIDES = ({0, 1}, {0, 2}, {1, 2})
-
 XOR = np.array([[0.0, 1.0], [1.0, 0.0]])          # exactly one dimer
 ATMOST = np.array([[1.0, 1.0], [1.0, 0.0]])       # at most one excitation
 ENDCAP = np.array([[1.0, 0.0], [1.0, 0.0]])       # open-string endpoint:
@@ -44,197 +41,122 @@ def site_matrix(z1, z2):
     return np.array([[1.0, z1], [z2, 1.0 + z1 * z2]], dtype=complex)
 
 
-@dataclass
-class SiteTensors:
-    z1: complex
-    z2: complex
-    projected: bool
-    vertex_tensor: np.ndarray        # (2,2,2,2) over the 4 incident atoms
-    projector_map: np.ndarray        # (4, 2, 2, 2): triangle state -> occ legs
-    z_ops: dict                      # per-atom 2x2 maps carrying z1, z2
-    combined_tensor: np.ndarray      # (4, 4, 4, 4): state x three dim-4 legs
+# --- triangle tensors -----------------------------------------------------
+#
+# A triangle state is the excitation bit of each of its three sides (atoms).
+# Projected, a triangle holds at most one excitation: state 0 is empty and
+# state j + 1 excites side j.  Unprojected, state c excites the sides whose
+# bits are set in c.  The dimer choices of a triangle (none, or one side)
+# are the projected states.
+
+ONE_SIDE = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+ANY_SIDES = (np.arange(8)[:, None] >> np.arange(3)) & 1
+# SLOT_COVER[d, s0, s1, s2] = 1 at the vertex slots covered by one-side
+# state d: side j joins slots (0, 1), (0, 2) and (1, 2) for j = 0, 1, 2
+SLOT_COVER = np.zeros((4, 2, 2, 2))
+SLOT_COVER[0, 0, 0, 0] = SLOT_COVER[1, 1, 1, 0] = 1.0
+SLOT_COVER[2, 1, 0, 1] = SLOT_COVER[3, 0, 1, 1] = 1.0
 
 
-def _triangle_states(projected):
-    """Triangle configurations as slot-coverage tuples.
+@dataclass(frozen=True)
+class _Network:
+    """Triangle states of one network and its occupation layer.
 
-    State 0 is the empty triangle; states 1..3 excite side j = state - 1.
-    The unprojected variant appends the multi-excitation configurations.
+    occ_legs[c] is the occupation-leg tensor P[c] over the three slots and
+    occ_edge the occupation factor of a plain edge.  The projected network
+    marks the slots of the excited side (legs of size 2, at most one
+    excitation per vertex); the unprojected one has no occupation layer
+    (legs of size 1).
     """
-    states = [(0, 0, 0)]
-    for j in range(3):
-        states.append(tuple(1 if s in SIDES[j] else 0 for s in range(3)))
-    if not projected:
-        for bits in range(8):
-            occ = [(bits >> j) & 1 for j in range(3)]
-            if sum(occ) >= 2:
-                states.append(tuple(occ))
-    return states
+    states: np.ndarray
+    occ_legs: np.ndarray
+    occ_edge: np.ndarray
+
+    @property
+    def n_occ(self):
+        return self.occ_edge.shape[0]
 
 
-def _state_weight(m, occ_c, occ_d):
-    """Product over the 3 atoms of M[c_j, d_j] for side-occupation tuples."""
-    w = 1.0 + 0j
-    for j in range(3):
-        w *= m[occ_c[j], occ_d[j]]
-    return w
+NETWORKS = {
+    True: _Network(ONE_SIDE, SLOT_COVER, ATMOST),
+    False: _Network(ANY_SIDES, np.ones((8, 1, 1, 1)), np.ones((1, 1))),
+}
 
 
-def _occ_bits(state_idx, projected):
-    """Per-side excitation bits of a triangle state index."""
-    if state_idx == 0:
-        return (0, 0, 0)
-    if projected or state_idx <= 3:
-        return tuple(1 if state_idx - 1 == j else 0 for j in range(3))
-    raise TnetError("invalid triangle state")
+def _dimer_tensor(z1, z2, states):
+    """K[c, a0, a1, a2]: weight prod_j M[c_j, d_j] of triangle state c with
+    dimer choice d, placed at the slots (a0, a1, a2) that d covers."""
+    m = site_matrix(z1, z2)
+    w = m[states[:, None, :], ONE_SIDE[None, :, :]].prod(axis=2)
+    return np.einsum("cd,dxyz->cxyz", w, SLOT_COVER)
 
 
-def _side_coverage(state_idx):
-    """Slot-coverage tuple of a projected triangle state."""
-    if state_idx == 0:
-        return (0, 0, 0)
-    j = state_idx - 1
-    return tuple(1 if s in SIDES[j] else 0 for s in range(3))
-
-
-def _z_weight(occ, sides):
-    """Product of Z = 1 - 2n over one side index or a tuple of them."""
-    sides = (sides,) if np.ndim(sides) == 0 else sides
-    return float(np.prod([1.0 - 2.0 * occ[s] for s in sides]))
+def _insertion(mod, net):
+    """O[c, C] between ket state c and bra state C for a triangle mod."""
+    bits = net.states
+    n = len(bits)
+    if mod is None:
+        return np.eye(n)
+    kind, j = mod
+    if kind == "density":
+        return np.diag((bits.sum(axis=1) if j is None else bits[:, j])
+                       .astype(float))
+    if kind == "zstring":
+        sides = list(j) if np.ndim(j) else [j]
+        return np.diag(np.prod(1.0 - 2.0 * bits[:, sides], axis=1))
+    if kind == "xstring":
+        # X_j moves the one excitation between the empty triangle and side j
+        if bits is not ONE_SIDE:
+            raise TnetError(
+                "off-diagonal strings require the projected variant")
+        o = np.zeros((n, n))
+        o[0, j + 1] = o[j + 1, 0] = 1.0
+        return o
+    raise TnetError("unknown triangle insertion %r" % (kind,))
 
 
 def single_triangle_tensor(z1, z2, projected=True):
-    """Ket-layer tensor T[c, leg0, leg1, leg2].
+    """Ket-layer tensor T[c, leg0, leg1, leg2] = K[c] (x) P[c].
 
-    Projected: c in 0..3, legs dim 4 encoding (dimer, occupation) as 2*a+alpha.
-    Unprojected: c in 0..7 (occupation bits of the 3 sides), legs dim 2.
+    Legs have dim 2 * n_occ, index a * n_occ + alpha (a = dimer,
+    alpha = occupation): dim 4 projected (c in 0..3), 2 unprojected
+    (c in 0..7).
     """
-    m = site_matrix(z1, z2)
-    if projected:
-        t = np.zeros((4, 4, 4, 4), dtype=complex)
-        for c in range(4):
-            alpha = _side_coverage(c)
-            occ_c = _occ_bits(c, True)
-            for d in range(4):
-                a = _side_coverage(d)
-                w = _state_weight(m, occ_c, _occ_bits(d, True))
-                legs = tuple(2 * a[s] + alpha[s] for s in range(3))
-                t[(c,) + legs] += w
-        return t
-    t = np.zeros((8, 2, 2, 2), dtype=complex)
-    for cbits in range(8):
-        occ_c = tuple((cbits >> j) & 1 for j in range(3))
-        for d in range(4):
-            a = _side_coverage(d)
-            # coverage of the physical sides at each slot (for bookkeeping
-            # only; unprojected legs carry just the dimer bit)
-            w = _state_weight(m, occ_c, _occ_bits(d, True))
-            t[(cbits,) + tuple(a)] += w
-    return t
+    net = NETWORKS[projected]
+    k = _dimer_tensor(z1, z2, net.states)
+    t = np.einsum("cxyz,cpqr->cxpyqzr", k, net.occ_legs)
+    n = 2 * net.n_occ
+    return t.reshape(len(net.states), n, n, n)
 
-
-def build_site_tensors(z1, z2, projected=True):
-    """Explicit tensors of the network at one (z1, z2)."""
-    vt = np.zeros((2, 2, 2, 2))
-    for bits in range(16):
-        occ = [(bits >> i) & 1 for i in range(4)]
-        if sum(occ) == 1 or (projected and sum(occ) == 0):
-            vt[tuple(occ)] = 1.0
-    pm = np.zeros((4, 2, 2, 2))
-    for c in range(4):
-        pm[(c,) + _side_coverage(c)] = 1.0
-    combined = single_triangle_tensor(z1, z2, projected=True)
-    return SiteTensors(z1=complex(z1), z2=complex(z2), projected=projected,
-                       vertex_tensor=vt, projector_map=pm,
-                       z_ops={"site": site_matrix(z1, z2)},
-                       combined_tensor=combined)
-
-
-# --- double-layer tensors -------------------------------------------------
 
 def double_triangle_tensor(z1, z2, projected=True, mod=None):
-    """Bra-ket contracted tensor D[leg0, leg1, leg2].
+    """Bra-ket contracted tensor D = sum_{c,C} O[c,C] K[c] (x) conj(K[C])
+    (x) P[c], with the occupation legs P taken from the ket.
 
-    Legs have dim 8 (projected; index 4a + 2b + alpha with a = ket dimer,
-    b = bra dimer, alpha = occupation) or 4 (unprojected; 2a + b).
-
-    mod is None or one of ('density', j), ('zstring', j), ('xstring', j)
-    with j the local side index 0..2; a 'zstring' j may also be a tuple of
-    sides, each of which carries a Z.
+    Legs have dim 4 * n_occ, index (2a + b) * n_occ + alpha with a = ket
+    dimer, b = bra dimer, alpha = occupation: dim 8 projected, 4
+    unprojected.  mod is None or one of ('density', j), ('zstring', j),
+    ('xstring', j) with j the local side index 0..2 (None: all sides, for a
+    density); a 'zstring' j may also be a tuple of sides, each of which
+    carries a Z.  The x string X_j = |0><j+1| + h.c. exists only in the
+    projected network.
     """
-    m = site_matrix(z1, z2)
-    kind, j = mod if mod is not None else (None, None)
-    if projected:
-        D = np.zeros((8, 8, 8), dtype=complex)
-        cs = range(4)
-        if kind == "xstring":
-            cs = (0, j + 1)
-        for c in cs:
-            occ_c = _occ_bits(c, True)
-            if kind == "xstring":
-                cb = (j + 1) if c == 0 else 0
-            else:
-                cb = c
-            occ_cb = _occ_bits(cb, True)
-            alpha = _side_coverage(c)
-            weight = 1.0
-            if kind == "density":
-                weight = float(sum(occ_c)) if j is None else float(occ_c[j])
-            elif kind == "zstring":
-                weight = _z_weight(occ_c, j)
-            if weight == 0.0:
-                continue
-            for d in range(4):
-                wk = _state_weight(m, occ_c, _occ_bits(d, True))
-                if wk == 0.0:
-                    continue
-                a = _side_coverage(d)
-                for dp in range(4):
-                    wb = np.conj(_state_weight(m, occ_cb, _occ_bits(dp, True)))
-                    if wb == 0.0:
-                        continue
-                    b = _side_coverage(dp)
-                    legs = tuple(4 * a[s] + 2 * b[s] + alpha[s] for s in range(3))
-                    D[legs] += weight * wk * wb
-    else:
-        D = np.zeros((4, 4, 4), dtype=complex)
-        if kind == "xstring":
-            raise TnetError("off-diagonal strings require the projected variant")
-        for cbits in range(8):
-            occ_c = tuple((cbits >> jj) & 1 for jj in range(3))
-            weight = 1.0
-            if kind == "density":
-                weight = float(sum(occ_c)) if j is None else float(occ_c[j])
-            elif kind == "zstring":
-                weight = _z_weight(occ_c, j)
-            if weight == 0.0:
-                continue
-            for d in range(4):
-                wk = _state_weight(m, occ_c, _occ_bits(d, True))
-                a = _side_coverage(d)
-                for dp in range(4):
-                    wb = np.conj(_state_weight(m, occ_c, _occ_bits(dp, True)))
-                    b = _side_coverage(dp)
-                    legs = tuple(2 * a[s] + b[s] for s in range(3))
-                    D[legs] += weight * wk * wb
+    net = NETWORKS[projected]
+    o = _insertion(mod, net)
+    k = _dimer_tensor(z1, z2, net.states)
+    n = 4 * net.n_occ
+    D = np.einsum("cC,cxyz,Cuvw,cpqr->xupyvqzwr", o, k, k.conj(),
+                  net.occ_legs).reshape(n, n, n)
     if np.max(np.abs(D.imag)) < 1e-300:
         D = D.real
     return D
 
 
-def double_edge_matrix(projected=True, occ_block="atmost", transpose_occ=False):
-    """Edge matrix between the double-layer legs of two triangles.
-
-    occ_block selects the occupation-layer factor: 'atmost' (plain),
-    'xor' (interior of an off-diagonal string), 'endcap' (string end;
-    rows = string triangle unless transpose_occ).
-    """
-    blocks = {"atmost": ATMOST, "xor": XOR, "endcap": ENDCAP}
-    if not projected:
-        return np.kron(XOR, XOR)
-    occ = blocks[occ_block]
-    if transpose_occ:
-        occ = occ.T
+def double_edge_matrix(occ):
+    """Edge matrix between the double-layer legs of two triangles: exactly
+    one dimer in ket and bra, times the occupation-layer factor occ (the
+    network's occ_edge on a plain edge; XOR inside an off-diagonal string,
+    ENDCAP at its end with rows = string triangle)."""
     return np.kron(np.kron(XOR, XOR), occ)
 
 
@@ -269,7 +191,7 @@ def _block_tensor(up_t, down_t, e_v0, e_v2):
 def _row_blocks(z1, z2, L, projected, mods=None):
     mods = mods or RowMods()
     plain = double_triangle_tensor(z1, z2, projected)
-    e_plain = double_edge_matrix(projected)
+    e_plain = double_edge_matrix(NETWORKS[projected].occ_edge)
     blocks = []
     for n in range(L):
         up_t = plain if n not in mods.up else double_triangle_tensor(
@@ -382,9 +304,6 @@ class RowOperator:
         chains = [c.transpose(0, 1, 3, 2) for c in self._chains]
         return RowOperator(chains)
 
-    def _chain(self, j):
-        return self._chains[j]
-
     def dense(self):
         """Explicit matrix (up index x down index); small L only."""
         if self.dim > 8192:
@@ -407,19 +326,12 @@ class CylinderTransferMatrix:
     op: RowOperator = field(repr=False)
 
     @property
-    def bond_dim(self):
-        return 8 if self.projected else 4
-
-    @property
     def dim(self):
         return self.op.dim
 
     def modified(self, mods):
         return RowOperator(_row_chains(self.z1, self.z2, self.circumference,
                                        self.projected, mods))
-
-    def dense_matrix(self):
-        return self.op.dense()
 
 
 def cylinder_transfer(z1, z2, L, projected=True):
@@ -442,12 +354,9 @@ def parity_signs(projected, L):
     eigenvalues across sectors; boundary fixed points are therefore computed
     inside the identity sector (both parities even).
     """
-    if projected:
-        leg = np.arange(8)
-        ak, ab = (leg >> 2) & 1, (leg >> 1) & 1
-    else:
-        leg = np.arange(4)
-        ak, ab = (leg >> 1) & 1, leg & 1
+    n_occ = NETWORKS[projected].n_occ
+    leg = np.arange(4 * n_occ)
+    ak, ab = (leg // (2 * n_occ)) & 1, (leg // n_occ) & 1
     sk = np.ones(1)
     sb = np.ones(1)
     for _ in range(L):
@@ -658,13 +567,6 @@ def mean_density(tm, boundaries=None, tol=DEFAULT_TOL):
     return float(tot / 6.0)
 
 
-def density_derivative(z1, z2, L, projected=True, step=1e-3, tol=DEFAULT_TOL):
-    """d<n>/dz1 by central finite difference."""
-    lo = cylinder_transfer(z1 - step, z2, L, projected)
-    hi = cylinder_transfer(z1 + step, z2, L, projected)
-    return (mean_density(hi, tol=tol) - mean_density(lo, tol=tol)) / (2 * step)
-
-
 def _loop_mods(loop, L, open_string, x_type):
     """Per-row RowMods realizing a string insertion on the cylinder.
 
@@ -725,14 +627,6 @@ def _loop_mods(loop, L, open_string, x_type):
         if len(shared) != 1:
             raise TnetError("consecutive loop triangles share != 1 vertex")
         vn, vm, vv = shared.pop()
-        a_in = t_a in string_set
-        b_in = t_b in string_set
-        if a_in and b_in:
-            occ = ("xor", False)
-        else:
-            # endpoint: rows of ENDCAP belong to the string triangle; work
-            # out which physical slot of the edge it occupies below
-            occ = ("endcap", None)
         # edge orientation [first, second] per location:
         #   v0: [down(n-1, m), up(n, m)]
         #   v1 (e_h of row m, position n): [up(n, m), down(n, m)]
@@ -746,13 +640,15 @@ def _loop_mods(loop, L, open_string, x_type):
         else:
             first, second = (vn, vm, 0), (vn - 1, vm + 1, 1)
             target, key, row = "e_v2", vn % L, vm + 1
-        if occ[0] == "endcap":
-            string_first = first in string_set
-            if not string_first and second not in string_set:
-                raise TnetError("endpoint edge touches no string triangle")
-            occ = ("endcap", not string_first)
-        mat = double_edge_matrix(True, occ[0], bool(occ[1]))
-        getattr(get(row), target)[key] = mat
+        if t_a in string_set and t_b in string_set:
+            occ = XOR
+        elif first in string_set:
+            occ = ENDCAP            # rows of ENDCAP are the string triangle
+        elif second in string_set:
+            occ = ENDCAP.T
+        else:
+            raise TnetError("endpoint edge touches no string triangle")
+        getattr(get(row), target)[key] = double_edge_matrix(occ)
     return rows
 
 
@@ -800,8 +696,10 @@ def _torus_contract(z1, z2, cluster, basis, projected):
     the internal, left, and down legs of each block so every bond carries
     its matrix exactly once.
     """
+    net = NETWORKS[projected]
     tri = single_triangle_tensor(z1, z2, projected)
-    e_ket = np.kron(XOR, ATMOST) if projected else XOR
+    e_ket = np.kron(XOR, net.occ_edge)
+    state_of = {tuple(bits): c for c, bits in enumerate(net.states)}
     n_phys = tri.shape[0]
     D = tri.shape[1]
     n1, n2 = cluster.n1, cluster.n2
@@ -844,17 +742,10 @@ def _torus_contract(z1, z2, cluster, basis, projected):
                 i1 = n if s == 0 else n - 1
                 ti = cluster.triangle_id(i1, m, s)
                 atoms = cluster.triangle_incidence[ti]
-                bits = [(int(cfg) >> a) & 1 for a in atoms]
-                if projected:
-                    if sum(bits) == 0:
-                        st = 0
-                    elif sum(bits) == 1:
-                        st = 1 + bits.index(1)
-                    else:
-                        ok = False
-                        break
-                else:
-                    st = bits[0] + 2 * bits[1] + 4 * bits[2]
+                st = state_of.get(tuple((int(cfg) >> a) & 1 for a in atoms))
+                if st is None:
+                    ok = False
+                    break
                 idx = idx * n_phys + st
             if not ok:
                 break
@@ -873,9 +764,11 @@ def phase_diagram_point(z1, z2, L, projected=True, loop_z=None, loop_x=None,
                         warm=None):
     """density, dn/dz1, xi and optional BFFM values at one (z1, z2).
 
-    Returns (record, warm) where warm holds the boundary vectors for
-    warm-starting the next grid point; the finite-difference transfer
-    matrices reuse the central boundaries as starting vectors too.
+    dn/dz1 is a central difference of step fd_step whose two transfer
+    matrices start from the central boundaries; fd_step=None leaves it NaN
+    for a caller that differences along its grid instead.  Returns
+    (record, warm) where warm holds the boundary vectors for warm-starting
+    the next grid point.
     """
     r0 = warm.get("right") if warm else None
     l0 = warm.get("left") if warm else None
@@ -887,14 +780,17 @@ def phase_diagram_point(z1, z2, L, projected=True, loop_z=None, loop_x=None,
         return tm, b
 
     tm, b = solve(z1, compute_xi, r0, l0)
-    tm_lo, b_lo = solve(z1 - fd_step, right0=b.right, left0=b.left)
-    tm_hi, b_hi = solve(z1 + fd_step, right0=b.right, left0=b.left)
-    n_lo = mean_density(tm_lo, b_lo, tol)
-    n_hi = mean_density(tm_hi, b_hi, tol)
+    dn_dz1 = np.nan
+    if fd_step is not None:
+        tm_lo, b_lo = solve(z1 - fd_step, right0=b.right, left0=b.left)
+        tm_hi, b_hi = solve(z1 + fd_step, right0=b.right, left0=b.left)
+        n_lo = mean_density(tm_lo, b_lo, tol)
+        n_hi = mean_density(tm_hi, b_hi, tol)
+        dn_dz1 = (n_hi - n_lo) / (2 * fd_step)
     rec = {
         "z1": z1, "z2": z2,
         "density": mean_density(tm, b, tol),
-        "dn_dz1": (n_hi - n_lo) / (2 * fd_step),
+        "dn_dz1": dn_dz1,
         "xi": correlation_length(tm, b) if compute_xi else np.nan,
     }
     rec["bffm_z_l18"] = (bffm(tm, loop_z, b, x_type=False, tol=tol)

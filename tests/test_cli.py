@@ -44,17 +44,21 @@ def test_cluster_verb_artifacts(tmp_path):
 
 
 def test_reruns_are_byte_identical(tmp_path):
-    cfg = write_config(tmp_path, "c.json", {
-        "n_atoms": 12, "lambda": [0.6, 0.9, 1.2]})
-    out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
-    assert run_cli(["gs-scan", "--config", cfg, "--out", out1]) == 0
-    assert run_cli(["gs-scan", "--config", cfg, "--out", out2]) == 0
-    assert (sha256(os.path.join(out1, "gs_scan.csv"))
-            == sha256(os.path.join(out2, "gs_scan.csv")))
-    cols = read_csv(os.path.join(out1, "gs_scan.csv"))
-    assert list(cols) == ["lambda", "energy", "gap", "rvb_overlap",
-                          "fidelity_susceptibility"]
-    assert np.allclose(cols["lambda"], [0.6, 0.9, 1.2])
+    # N = 12 takes the dense path; N = 24 (dim 2649) takes ARPACK, whose
+    # start vector must not come from its own random generator
+    for n_atoms in (12, 24):
+        cfg = write_config(tmp_path, "c%d.json" % n_atoms, {
+            "n_atoms": n_atoms, "lambda": [0.6, 0.9, 1.2]})
+        out1 = str(tmp_path / ("a%d" % n_atoms))
+        out2 = str(tmp_path / ("b%d" % n_atoms))
+        assert run_cli(["gs-scan", "--config", cfg, "--out", out1]) == 0
+        assert run_cli(["gs-scan", "--config", cfg, "--out", out2]) == 0
+        assert (sha256(os.path.join(out1, "gs_scan.csv"))
+                == sha256(os.path.join(out2, "gs_scan.csv")))
+        cols = read_csv(os.path.join(out1, "gs_scan.csv"))
+        assert list(cols) == ["lambda", "energy", "gap", "rvb_overlap",
+                              "fidelity_susceptibility"]
+        assert np.allclose(cols["lambda"], [0.6, 0.9, 1.2])
 
 
 def test_sweep_verb(tmp_path):
@@ -134,6 +138,10 @@ def test_config_errors_exit_2(tmp_path):
     out = str(tmp_path / "out")
     assert run_cli(["sweep", "--config", bad, "--out", out]) == 2
     assert not os.path.exists(os.path.join(out, "sweep.csv"))
+    # the error is raised inside the verb, after the manifest was written
+    manifest = json.loads(open(os.path.join(out, "manifest.json")).read())
+    assert manifest["status"] == "failed"
+    assert "stage_times" in manifest["error"]
 
     notjson = tmp_path / "nj.json"
     notjson.write_text("{broken")
@@ -154,19 +162,17 @@ def test_experiment_name_validation(tmp_path):
     assert run_cli(["gs-scan", "--out", str(tmp_path / "o3")]) == 2
 
 
-def test_run_experiment_unknown():
-    with pytest.raises(cli.ConfigError):
-        cli.run_experiment("nope")
-
-
 def test_manifest_written_before_outputs(tmp_path):
-    # a run that fails mid-verb still leaves a 'running' manifest behind
+    # a run that fails mid-verb leaves a 'failed' manifest with its error;
+    # only a killed run is left 'running'
     cfg = write_config(tmp_path, "c.json", {
         "n_atoms": 12, "lambda": [0.9, 0.5]})     # not increasing -> error
     out = str(tmp_path / "out")
     assert run_cli(["gs-scan", "--config", cfg, "--out", out]) == 1
     manifest = json.loads(open(os.path.join(out, "manifest.json")).read())
-    assert manifest["status"] == "running"
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == (
+        "SpectrumError: lambda grid must be strictly increasing")
     assert manifest["outputs"] == {}
 
 

@@ -1,11 +1,8 @@
-import json
-
 import numpy as np
 import pytest
 
 from rvbprep.entangle import (EntangleError, entanglement_entropy,
-                              gamma_report_json, reports_to_csv,
-                              topological_entropy, topological_entropy_report)
+                              reports_to_csv, topological_entropy_report)
 from rvbprep.hilbert import StateVector, full_basis
 
 
@@ -79,29 +76,29 @@ def test_region_validation(random_state8):
 
 def test_topological_entropy_combination(random_state8):
     regions = ([0, 1], [2, 3], [4, 5])
-    gamma = topological_entropy(random_state8, regions)
+    rep = topological_entropy_report(random_state8, regions)
     s = {k: dense_rdm_entropy(random_state8, r) for k, r in {
         "A": [0, 1], "B": [2, 3], "C": [4, 5], "AB": [0, 1, 2, 3],
         "BC": [2, 3, 4, 5], "AC": [0, 1, 4, 5],
         "ABC": [0, 1, 2, 3, 4, 5]}.items()}
     want = (s["AB"] + s["BC"] + s["AC"]
             - s["A"] - s["B"] - s["C"] - s["ABC"])
-    assert gamma == pytest.approx(want, abs=1e-9)
+    assert rep.gamma == pytest.approx(want, abs=1e-9)
+    for k, v in s.items():
+        assert rep.components[k] == pytest.approx(v, abs=1e-10)
     with pytest.raises(EntangleError):
-        topological_entropy(random_state8, ([0, 1], [1, 2], [3, 4]))
+        topological_entropy_report(random_state8, ([0, 1], [1, 2], [3, 4]))
 
 
 def test_report_and_serialization(tmp_path, random_state8):
     regions = ([0, 1], [2, 3], [4, 5])
     rep = topological_entropy_report(random_state8, regions)
-    assert rep.gamma == pytest.approx(
-        topological_entropy(random_state8, regions), abs=1e-10)
-    assert set(rep.components) == {"A", "B", "C", "AB", "BC", "AC", "ABC"}
-    jpath = tmp_path / "gamma.json"
-    gamma_report_json(rep, str(jpath), extra={"label": "test"})
-    data = json.loads(jpath.read_text())
-    assert data["gamma"] == pytest.approx(rep.gamma)
-    assert data["label"] == "test"
+    c = rep.components
+    assert set(c) == {"A", "B", "C", "AB", "BC", "AC", "ABC"}
+    assert rep.gamma == (c["AB"] + c["BC"] + c["AC"] - c["A"] - c["B"]
+                         - c["C"] - c["ABC"])
+    assert rep.region == (0, 1, 2, 3, 4, 5)
+    assert rep.entropy == c["ABC"]
     cpath = tmp_path / "entropies.csv"
     reports_to_csv([("abc", rep)], str(cpath))
     lines = cpath.read_text().strip().split("\n")

@@ -4,8 +4,7 @@ import scipy.linalg
 
 from rvbprep.evolve import (EvolveError, cf4_step, evolve_sweep,
                             integrator_crosscheck, lanczos_expm_step, overlap,
-                            load_state, rk4_evolve, save_state,
-                            trajectory_to_csv)
+                            rk4_evolve, trajectory_to_csv)
 from rvbprep.geometry import build_cluster, constraint_graph
 from rvbprep.hilbert import (StateVector, enumerate_basis,
                              enumerate_maximal_covers, rvb_state)
@@ -125,18 +124,6 @@ def test_trajectory_csv_roundtrip(tmp_path, op12, basis12):
     assert rows.shape == (6, 6 + basis12.n_atoms + 1)
     assert np.allclose(rows[:, 0], traj.times)
     assert np.allclose(rows[:, 5], traj.density)
-
-
-def test_state_npz_roundtrip(tmp_path, basis12):
-    rng = np.random.default_rng(23)
-    amps = rng.standard_normal(basis12.dim) + 1j * rng.standard_normal(basis12.dim)
-    psi = StateVector(basis12, amps)
-    path = str(tmp_path / "state.npz")
-    save_state(path, psi)
-    back = load_state(path)
-    assert back.basis.n_atoms == 12
-    assert np.array_equal(back.basis.configs, basis12.configs)
-    assert np.allclose(back.amplitudes, amps)
 
 
 def test_overlap_rejects_mismatched_bases(basis12):

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from rvbprep.geometry import build_cluster, constraint_graph
-from rvbprep.hilbert import enumerate_basis, StateVector
+from rvbprep.hilbert import enumerate_basis
 from rvbprep.model import (FULL_RYDBERG, HamiltonianOperator, HamiltonianSpec,
-                           ModelError, SweepSchedule, apply_hamiltonian,
-                           diagonal_interaction, full_rydberg_spec,
-                           schedule_eval, tail_pairs)
+                           ModelError, SweepSchedule, diagonal_interaction,
+                           full_rydberg_spec, tail_pairs)
 
 
 def brute_force_dense(basis, cluster, omega, delta, r_c, cutoff, v):
@@ -114,14 +113,6 @@ def test_spec_validation(basis12, cluster12):
         HamiltonianOperator(full_rydberg_spec(constraint_radius=2.0), basis12)
 
 
-def test_apply_hamiltonian_wrapper(basis12):
-    op = HamiltonianOperator(HamiltonianSpec(), basis12)
-    rng = np.random.default_rng(2)
-    psi = StateVector(basis12, rng.standard_normal(basis12.dim) + 0j)
-    out = apply_hamiltonian(op, psi, 0.5, 1.0)
-    assert np.allclose(out.amplitudes, op.apply(psi.amplitudes, 0.5, 1.0))
-
-
 # --- schedules -----------------------------------------------------------
 
 def test_default_protocol_endpoints():
@@ -185,13 +176,3 @@ def test_time_at_detuning_ratio():
         assert abs(s.delta(t) - ratio * s.omega(t)) < 1e-9
     with pytest.raises(ModelError):
         s.time_at_detuning_ratio(3.0)   # above the final detuning
-
-
-def test_schedule_eval_and_to_dict():
-    s = SweepSchedule.default_protocol(10.0)
-    om, de = schedule_eval(s, 5.0)
-    assert om == s.omega(5.0) and de == s.delta(5.0)
-    d = s.to_dict()
-    back = SweepSchedule(**d)
-    assert back.omega(3.3) == s.omega(3.3)
-    assert back.delta(7.7) == s.delta(7.7)

@@ -7,10 +7,67 @@ from rvbprep.geometry import (build_cluster, hexagon_loop, loop_block_span,
 from rvbprep.hilbert import cover_bitsets, full_basis
 from rvbprep.tnet import (RowMods, RowOperator, TnetError, bffm,
                           correlation_length, cylinder_transfer, density,
-                          density_derivative, dominant_eigenpair,
-                          grid_to_csv, mean_density, parity_signs,
-                          phase_diagram_point, string_expectation,
+                          dominant_eigenpair,
+                          double_triangle_tensor, grid_to_csv, mean_density,
+                          parity_signs, phase_diagram_point,
+                          single_triangle_tensor, string_expectation,
                           torus_amplitudes, _row_chains)
+
+
+# excitation bit of each side for every triangle state: projected, the empty
+# triangle and one excited side j (state j + 1); unprojected, state c has
+# side j excited when bit j of c is set
+TRIANGLE_BITS = {
+    True: [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)],
+    False: [(c & 1, (c >> 1) & 1, (c >> 2) & 1) for c in range(8)],
+}
+
+INSERTIONS = [None, ("density", 0), ("density", 2), ("density", None),
+              ("zstring", 1), ("zstring", (0, 2)), ("zstring", (0, 1, 2)),
+              ("xstring", 0), ("xstring", 2)]
+
+
+def insertion_matrix(mod, bits):
+    """O[c, C] of a triangle insertion between ket state c and bra state C."""
+    n = len(bits)
+    if mod is None:
+        return np.eye(n)
+    kind, j = mod
+    if kind == "density":
+        sides = range(3) if j is None else [j]
+        return np.diag([float(sum(b[s] for s in sides)) for b in bits])
+    if kind == "zstring":
+        sides = (j,) if np.ndim(j) == 0 else j
+        return np.diag([float((-1) ** sum(b[s] for s in sides))
+                        for b in bits])
+    o = np.zeros((n, n))                   # X_j = |0><j+1| + |j+1><0|
+    o[0, j + 1] = o[j + 1, 0] = 1.0
+    return o
+
+
+@pytest.mark.parametrize("mod", INSERTIONS)
+@pytest.mark.parametrize("z1,z2", [(0.35, 0.6), (0.4 + 0.3j, 0.2 - 0.5j)])
+@pytest.mark.parametrize("projected", [True, False])
+def test_double_triangle_tensor_matches_ket_bra_oracle(projected, z1, z2,
+                                                       mod):
+    # D = sum_{c,C} O[c,C] T[c] (x) conj(T[C]) with T the single-layer
+    # triangle tensor; the bra's occupation legs are summed, so the double
+    # layer keeps the ket's occupation leg (4a + 2b + alpha, or 2a + b)
+    if mod is not None and mod[0] == "xstring" and not projected:
+        with pytest.raises(TnetError):
+            double_triangle_tensor(z1, z2, projected, mod)
+        return
+    t = single_triangle_tensor(z1, z2, projected)
+    n, leg = t.shape[0], t.shape[1]
+    n_occ = leg // 2
+    ket = t.reshape(n, 2, n_occ, 2, n_occ, 2, n_occ)
+    bra = ket.sum(axis=(2, 4, 6)).conj()
+    o = insertion_matrix(mod, TRIANGLE_BITS[projected])
+    want = np.einsum("cC,cxpyqzr,Cuvw->xupyvqzwr", o, ket, bra).reshape(
+        2 * leg, 2 * leg, 2 * leg)
+    got = double_triangle_tensor(z1, z2, projected, mod)
+    assert got.shape == want.shape
+    assert np.allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
 
 
 def ring_dense(chains):
@@ -123,11 +180,6 @@ def test_mean_density_equals_sublattice_average():
     b = dominant_eigenpair(tm)
     assert mean_density(tm, b) == pytest.approx(
         float(np.mean(density(tm, b))), abs=1e-10)
-
-
-def test_density_decreases_with_dimer_fugacity():
-    # z1 weights uncovered dimer slots, so occupation falls as z1 grows
-    assert density_derivative(0.3, 0.3, 2) < 0
 
 
 def test_correlation_length_consistent():
