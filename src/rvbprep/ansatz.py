@@ -15,7 +15,6 @@ the reparameterization w1 = 1/z1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np

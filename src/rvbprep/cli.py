@@ -22,7 +22,7 @@ from .geometry import (build_cluster, cluster_preset, constraint_graph,
                        dump_cluster, hexagon_loop, parallelogram_loop,
                        kitaev_preskill_regions, tee_cluster)
 from .hilbert import (enumerate_basis, enumerate_maximal_covers, rvb_state,
-                      save_basis, save_covers, abs_state, project_to_subspace)
+                      save_basis, save_covers, abs_state)
 from .model import (HamiltonianSpec, HamiltonianOperator, SweepSchedule,
                     full_rydberg_spec)
 from .evolve import evolve_sweep, trajectory_to_csv
@@ -186,7 +186,7 @@ def _operator(cfg, cluster=None):
 
 def _rvb_in(basis, covers, cluster):
     """RVB state expressed on ``basis`` (any radius >= the blockade one)."""
-    from .hilbert import ConstrainedBasis, StateVector
+    from .hilbert import StateVector
     blockade = enumerate_basis(constraint_graph(cluster, 2.0))
     rvb = rvb_state(covers, blockade)
     if basis.dim == blockade.dim:

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import zgemv
 
 from .hilbert import StateVector
 
@@ -39,23 +40,24 @@ def lanczos_expm_step(apply_h, psi, dt, tol=1e-10, krylov_dim=20,
 
     The basis grows until the coupling of the last Krylov vector into the
     propagated state drops below tol (or a happy breakdown occurs).  Full
-    reorthogonalization keeps the tridiagonal projection accurate.
+    reorthogonalization, two classical Gram-Schmidt passes against the
+    whole basis ("twice is enough"), keeps the tridiagonal projection
+    accurate.  The Krylov vectors are the rows of one array, and every
+    product with the basis is a BLAS zgemv on its Fortran-ordered transpose.
     """
     nrm = np.linalg.norm(psi)
-    vecs = [psi / nrm]
+    vecs = np.empty((krylov_dim, len(psi)), dtype=np.complex128)
+    np.divide(psi, nrm, out=vecs[0])
     alphas, betas = [], []
-    err = 0.0
-    u = np.array([np.exp(-1j * dt * 0.0)])
     for j in range(krylov_dim):
-        w = apply_h(vecs[-1])
-        a = float(np.vdot(vecs[-1], w).real)
-        alphas.append(a)
-        w = w - a * vecs[-1]
-        if j > 0:
-            w = w - betas[-1] * vecs[-2]
-        for v in vecs:     # full reorthogonalization
-            w = w - np.vdot(v, w) * v
-        b = float(np.linalg.norm(w))
+        w = apply_h(vecs[j])
+        basis = vecs[:j + 1].T
+        for sweep in range(2):
+            c = zgemv(1.0, basis, w, trans=2)           # V^H w
+            if sweep == 0:
+                alphas.append(float(c[j].real))
+            w = zgemv(-1.0, basis, c, beta=1.0, y=w, overwrite_y=1)
+        b = math.sqrt(np.vdot(w, w).real)
         k = len(alphas)
         tri = np.diag(alphas)
         for i in range(k - 1):
@@ -69,12 +71,9 @@ def lanczos_expm_step(apply_h, psi, dt, tol=1e-10, krylov_dim=20,
         if err <= tol:
             break
         betas.append(b)
-        vecs.append(w / b)
-    out = np.zeros_like(psi)
-    for j in range(len(u)):
-        out += u[j] * vecs[j]
-    out *= nrm
-    return out, err
+        if j + 1 < krylov_dim:
+            np.divide(w, b, out=vecs[j + 1])
+    return zgemv(nrm, vecs[:len(u)].T, u), err
 
 
 def cf4_step(op, schedule, psi, t, dt, tol=1e-10, krylov_dim=20):
@@ -138,19 +137,22 @@ def evolve_sweep(op, schedule, psi0=None, rvb=None, dt_max=0.5, local_tol=1e-9,
 
     rvb_amps = rvb.amplitudes if rvb is not None else None
     n_atoms = basis.n_atoms
+    excitations = np.arange(n_atoms + 1, dtype=np.float64)
     rec = {k: [] for k in ("t", "om", "de", "norm", "ov", "dens", "w")}
     snapshots = {}
 
     def record(t):
         om, de = schedule.omega(t), schedule.delta(t)
         state = StateVector(basis, psi)
+        weights = state.sector_weights()
         rec["t"].append(t)
         rec["om"].append(om)
         rec["de"].append(de)
         rec["norm"].append(state.norm)
         rec["ov"].append(abs(np.vdot(rvb_amps, psi)) if rvb_amps is not None else np.nan)
-        rec["dens"].append(float(np.mean(state.occupation())))
-        rec["w"].append(state.sector_weights())
+        # mean <n_i> = sum_k k w_k / N over the excitation-number sectors
+        rec["dens"].append(float(excitations @ weights) / n_atoms)
+        rec["w"].append(weights)
 
     sample_set = set(np.round(samples, 12))
     t = 0.0

@@ -83,16 +83,6 @@ class StateVector:
     def normalized(self):
         return StateVector(self.basis, self.amplitudes / self.norm)
 
-    def occupation(self):
-        """Per-atom density <n_i>."""
-        w = np.abs(self.amplitudes) ** 2
-        dens = np.empty(self.basis.n_atoms)
-        for i in range(self.basis.n_atoms):
-            bits = ((self.basis.configs >> np.uint64(i))
-                    & np.uint64(1)).astype(np.float64)
-            dens[i] = float(bits @ w)
-        return dens
-
     def sector_weights(self):
         """Probability per excitation-number sector, index = excitation count."""
         w = np.abs(self.amplitudes) ** 2

@@ -66,7 +66,7 @@ class HamiltonianOperator:
     """H(Omega, Delta) = Omega/2 * X - Delta * n + tails over a fixed basis.
 
     The single-bit-flip structure X and the diagonal vectors are assembled
-    once; apply() is then two vector scalings and one sparse matvec.
+    once; apply() is then one real sparse product and two vector scalings.
     """
 
     def __init__(self, spec, basis, cluster=None):
@@ -93,9 +93,19 @@ class HamiltonianOperator:
         return self.basis.dim
 
     def apply(self, psi, omega, delta):
-        out = (self.tail_diag - delta * self.n_diag) * psi
-        if omega != 0.0:
-            out += (0.5 * omega) * (self.flip @ psi)
+        diag = self.tail_diag - delta * self.n_diag
+        if omega == 0.0:
+            return diag * psi
+        if np.iscomplexobj(psi):
+            # H is real: multiply the (dim, 2) real view of psi, so that the
+            # CSR data is never cast to complex; bit-identical to the
+            # complex product
+            pairs = np.ascontiguousarray(psi).view(np.float64).reshape(-1, 2)
+            out = (self.flip @ pairs).view(np.complex128).ravel()
+        else:
+            out = self.flip @ psi
+        out *= 0.5 * omega
+        out += diag * psi
         return out
 
     def aslinearoperator(self, omega, delta):
@@ -103,7 +113,7 @@ class HamiltonianOperator:
         return spla.LinearOperator(
             (self.dim, self.dim),
             matvec=lambda v: self.apply(v, omega, delta),
-            dtype=np.complex128,
+            dtype=np.float64,
         )
 
     def dense(self, omega, delta):

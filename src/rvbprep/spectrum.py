@@ -75,6 +75,7 @@ def groundstate(op, omega, delta, tol=1e-10, max_iter=20000, v0=None):
         e0 = float(evals[0])
         gap = float(evals[1] - evals[0]) if dim > 1 else np.inf
     else:
+        # H is real symmetric: ARPACK's real Lanczos driver, on real vectors
         lin = op.aslinearoperator(omega, delta)
         if v0 is None:
             # ARPACK would draw its own random start, different in every
@@ -87,7 +88,7 @@ def groundstate(op, omega, delta, tol=1e-10, max_iter=20000, v0=None):
         order = np.argsort(evals)
         e0 = float(evals[order[0]])
         gap = float(evals[order[1]] - e0)
-        vec = _fix_phase(evecs[:, order[0]].astype(np.complex128))
+        vec = _fix_phase(evecs[:, order[0]])
 
     res = float(np.linalg.norm(op.apply(vec, omega, delta) - e0 * vec))
     if res > max(tol, 1e-9) * max(1.0, abs(e0)):

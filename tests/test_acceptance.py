@@ -17,8 +17,7 @@ from rvbprep.ansatz import AnsatzBuilder, fit_to_state
 from rvbprep.evolve import evolve_sweep, integrator_crosscheck
 from rvbprep.geometry import build_cluster, constraint_graph
 from rvbprep.hilbert import (StateVector, enumerate_basis,
-                             enumerate_maximal_covers, project_to_subspace,
-                             rvb_state)
+                             project_to_subspace, rvb_state)
 from rvbprep.model import (HamiltonianOperator, HamiltonianSpec,
                            SweepSchedule, full_rydberg_spec, tail_pairs)
 from rvbprep.spectrum import groundstate, interior_peaks

@@ -5,7 +5,7 @@ from rvbprep.ansatz import (AnsatzBuilder, AnsatzError, AnsatzParams,
                             DEFAULT_SEEDS, build_ansatz, fit_to_state,
                             fit_trajectory, fits_to_csv)
 from rvbprep.geometry import build_cluster
-from rvbprep.hilbert import (StateVector, enumerate_maximal_covers, rvb_state)
+from rvbprep.hilbert import StateVector, enumerate_maximal_covers
 
 
 @pytest.fixture(scope="module")

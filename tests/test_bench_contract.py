@@ -1,0 +1,61 @@
+"""The entry points the benchmark harness wraps, as tier-1 checks.
+
+``benchmarks/tracing.py`` replaces ``vars(owner)[attr]`` for each of its
+targets and its hooks read attributes of the arguments; a change that
+renames or moves one of them would otherwise surface only when the
+benchmark runs.  Nothing but ``tracing`` is read from ``benchmarks/``.
+"""
+
+import inspect
+import os
+import sys
+
+import numpy as np
+import scipy.sparse as sp
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir,
+                                "benchmarks"))
+
+import tracing  # noqa: E402
+
+from rvbprep import evolve, spectrum  # noqa: E402
+from rvbprep.model import (HamiltonianOperator, HamiltonianSpec,  # noqa: E402
+                           SweepSchedule)
+
+
+def test_every_traced_target_is_an_own_attribute():
+    for owner, attr, name, hook in tracing._targets():
+        assert attr in vars(owner), "%s.%s (span %s)" % (
+            getattr(owner, "__name__", owner), attr, name)
+
+
+def test_traced_signatures():
+    apply = inspect.signature(HamiltonianOperator.apply)
+    assert list(apply.parameters) == ["self", "psi", "omega", "delta"]
+    lanczos = inspect.signature(evolve.lanczos_expm_step)
+    assert list(lanczos.parameters) == ["apply_h", "psi", "dt", "tol",
+                                        "krylov_dim", "breakdown_tol"]
+
+
+def test_operator_attributes_read_by_the_hooks(basis12):
+    op = HamiltonianOperator(HamiltonianSpec(), basis12)
+    assert sp.issparse(op.flip) and op.flip.format == "csr"
+    assert op.flip.dtype == np.float64
+    assert op.tail_diag.shape == op.n_diag.shape == (op.dim,)
+    assert isinstance(spectrum.DENSE_CUTOFF, int)
+
+
+def test_cf4_step_calls_lanczos_through_the_module(basis12, monkeypatch):
+    op = HamiltonianOperator(HamiltonianSpec(), basis12)
+    calls = []
+    original = evolve.lanczos_expm_step
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(evolve, "lanczos_expm_step", counting)
+    psi = np.zeros(op.dim, dtype=np.complex128)
+    psi[basis12.index_of(0)] = 1.0
+    evolve.cf4_step(op, SweepSchedule.default_protocol(2.0), psi, 0.5, 0.1)
+    assert len(calls) == 2

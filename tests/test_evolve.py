@@ -6,8 +6,7 @@ from rvbprep.evolve import (EvolveError, cf4_step, evolve_sweep,
                             integrator_crosscheck, lanczos_expm_step, overlap,
                             rk4_evolve, trajectory_to_csv)
 from rvbprep.geometry import build_cluster, constraint_graph
-from rvbprep.hilbert import (StateVector, enumerate_basis,
-                             enumerate_maximal_covers, rvb_state)
+from rvbprep.hilbert import StateVector, enumerate_basis, rvb_state
 from rvbprep.model import HamiltonianOperator, HamiltonianSpec, SweepSchedule
 
 
@@ -43,6 +42,37 @@ def test_lanczos_happy_breakdown(op12, basis12):
     got, err = lanczos_expm_step(lambda x: op12.apply(x, 1.0, 0.0), v, 0.3)
     assert err == 0.0
     assert np.allclose(got, np.exp(-1j * 0.3 * w[0]) * v, atol=1e-10)
+
+
+def test_lanczos_capped_subspace_matches_projection(op12, basis12):
+    # krylov_dim = 3 cannot meet the tolerance: the step must return the
+    # exponential of the 3 x 3 tridiagonal projection, built here from dense
+    h = op12.dense(1.1, -0.4)
+    rng = np.random.default_rng(31)
+    v = rng.standard_normal(basis12.dim) + 1j * rng.standard_normal(basis12.dim)
+    v *= 1.7 / np.linalg.norm(v)
+    dt = 0.6
+    q = [v / np.linalg.norm(v)]
+    alphas, betas = [], []
+    for j in range(3):
+        w = h @ q[-1]
+        alphas.append(float(np.vdot(q[-1], w).real))
+        for _ in range(2):
+            for x in q:
+                w = w - np.vdot(x, w) * x
+        betas.append(float(np.linalg.norm(w)))
+        q.append(w / betas[-1])
+    tri = np.diag(alphas) + np.diag(betas[:2], 1) + np.diag(betas[:2], -1)
+    u = scipy.linalg.expm(-1j * dt * tri)[:, 0]
+    want = 1.7 * np.array(q[:3]).T @ u
+    want_err = abs(betas[2] * dt * u[-1])
+
+    got, err = lanczos_expm_step(lambda x: op12.apply(x, 1.1, -0.4), v, dt,
+                                 tol=1e-14, krylov_dim=3)
+    assert want_err > 1e-4              # the tolerance was not met
+    assert err == pytest.approx(want_err, rel=1e-9)
+    assert np.max(np.abs(got - want)) < 1e-12
+    assert got.shape == v.shape and got.dtype == np.complex128
 
 
 def test_cf4_is_fourth_order(op12, basis12):
@@ -106,6 +136,10 @@ def test_evolve_records_observables(op12, basis12, covers12):
     assert np.all(np.isfinite(traj.rvb_overlap))
     assert traj.rvb_overlap[0] == pytest.approx(
         abs(overlap(rvb, vacuum(basis12))))
+    final = np.abs(traj.final_state.amplitudes) ** 2
+    per_atom = [((basis12.configs >> np.uint64(i)) & np.uint64(1)) @ final
+                for i in range(basis12.n_atoms)]
+    assert traj.density[-1] == pytest.approx(np.mean(per_atom), abs=1e-14)
     assert set(traj.snapshots) == {3.0}
     assert abs(traj.snapshots[3.0].norm - 1.0) < 1e-10
 

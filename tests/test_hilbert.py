@@ -1,14 +1,11 @@
-import itertools
-
 import numpy as np
 import pytest
 
 from rvbprep.geometry import build_cluster, constraint_graph
-from rvbprep.hilbert import (BasisError, ConstrainedBasis, abs_state,
-                             enumerate_basis, enumerate_maximal_covers,
-                             full_basis, load_basis, load_covers,
-                             project_to_subspace, rvb_state, save_basis,
-                             save_covers, StateVector)
+from rvbprep.hilbert import (BasisError, abs_state, enumerate_basis,
+                             enumerate_maximal_covers, full_basis, load_basis,
+                             load_covers, project_to_subspace, rvb_state,
+                             save_basis, save_covers, StateVector)
 
 
 def brute_force_basis(graph):
@@ -101,8 +98,12 @@ def test_sector_weights_and_occupation(basis12):
     psi = StateVector(basis12, amps / np.linalg.norm(amps))
     w = psi.sector_weights()
     assert abs(w.sum() - 1.0) < 1e-12
-    # mean occupation equals the sector-weighted excitation count
-    lhs = psi.occupation().sum()
+    # the summed per-atom density <n_i> equals the sector-weighted
+    # excitation count, which is how evolve_sweep records the density
+    prob = np.abs(psi.amplitudes) ** 2
+    lhs = sum(float(((basis12.configs >> np.uint64(i)) & np.uint64(1))
+                    .astype(np.float64) @ prob)
+              for i in range(basis12.n_atoms))
     rhs = (np.arange(len(w)) * w).sum()
     assert abs(lhs - rhs) < 1e-12
 

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from rvbprep.geometry import build_cluster, constraint_graph
+from rvbprep.geometry import constraint_graph
 from rvbprep.hilbert import enumerate_basis
-from rvbprep.model import (FULL_RYDBERG, HamiltonianOperator, HamiltonianSpec,
-                           ModelError, SweepSchedule, diagonal_interaction,
+from rvbprep.model import (HamiltonianOperator, HamiltonianSpec, ModelError,
+                           SweepSchedule, diagonal_interaction,
                            full_rydberg_spec, tail_pairs)
 
 
@@ -64,6 +64,27 @@ def test_apply_matches_dense(cluster12, basis12):
     assert np.allclose(op.apply(v, 0.9, 0.4), dense @ v, atol=1e-12)
     lo = op.aslinearoperator(0.9, 0.4)
     assert np.allclose(lo @ v, dense @ v, atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", ["pxp", "full"])
+def test_apply_complex_is_real_plus_imaginary_part(variant, cluster12,
+                                                   basis12, wide12):
+    if variant == "pxp":
+        op = HamiltonianOperator(HamiltonianSpec(), basis12)
+    else:
+        op = HamiltonianOperator(full_rydberg_spec(), wide12,
+                                 cluster=cluster12)
+    rng = np.random.default_rng(29)
+    v = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+    for omega, delta in ((0.9, 0.4), (0.0, -1.1)):
+        got = op.apply(v, omega, delta)
+        assert got.dtype == np.complex128
+        # H is real, so a complex psi is two real products, bit for bit
+        parts = (op.apply(v.real, omega, delta)
+                 + 1j * op.apply(v.imag, omega, delta))
+        assert np.array_equal(got, parts)
+        assert np.allclose(got, op.dense(omega, delta) @ v, rtol=0,
+                           atol=1e-12)
 
 
 def test_dense_is_symmetric(cluster12, wide12):

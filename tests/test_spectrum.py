@@ -36,6 +36,17 @@ def test_groundstate_sparse_path_agrees(op24):
     assert op24.dim > 600          # actually exercised the iterative branch
 
 
+def test_groundstate_arpack_energy_dtype_and_reproducibility(op24):
+    want = np.linalg.eigvalsh(op24.dense(1.0, 0.5))[0]
+    gs = groundstate(op24, 1.0, 0.5)
+    assert gs.energy == pytest.approx(want, abs=1e-9)
+    assert gs.state.amplitudes.dtype == np.complex128
+    # the seeded start vector makes a cold solve repeat bit for bit
+    again = groundstate(op24, 1.0, 0.5)
+    assert again.energy == gs.energy and again.gap == gs.gap
+    assert np.array_equal(again.state.amplitudes, gs.state.amplitudes)
+
+
 def test_groundstate_diagonal_limit(op12, basis12):
     gs = groundstate(op12, 0.0, 1.0)
     # all excitations at unit reward: pick any maximal independent set
