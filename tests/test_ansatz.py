@@ -5,7 +5,7 @@ from rvbprep.ansatz import (AnsatzBuilder, AnsatzError, AnsatzParams,
                             DEFAULT_SEEDS, build_ansatz, fit_to_state,
                             fit_trajectory, fits_to_csv)
 from rvbprep.geometry import build_cluster
-from rvbprep.hilbert import StateVector, enumerate_maximal_covers
+from rvbprep.hilbert import StateVector, enumerate_maximal_covers, full_basis
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +37,42 @@ def test_build_matches_operator_product_oracle(covers12, basis12, builder12):
         phase = np.vdot(got, want)
         assert abs(abs(phase) - 1.0) < 1e-12
         assert np.allclose(got * phase / abs(phase), want, atol=1e-12)
+
+
+def per_cover_oracle(covers, basis, x, z2, u):
+    """Normalized sum over covers m of coef[K[m, c], pc(c)], with
+    K[m, c] = |cover_m AND c| and coef[k, pc] = x^(nd-k) z2^(pc-k) u^k:
+    (x, u) = (z1, 1 + z1 z2) on the RVB limb, (1, w1 + z2) on the vacuum
+    limb."""
+    nd = int(np.bitwise_count(covers.covers[0]))
+    pc = basis.popcounts
+    amps = np.zeros(basis.dim, dtype=complex)
+    for d in covers.covers:
+        k = np.bitwise_count(basis.configs & d).astype(np.int64)
+        amps += x ** (nd - k) * z2 ** (pc - k) * u ** k
+    return amps / np.linalg.norm(amps)
+
+
+# near 1 + z1 z2 = 0 (and w1 + z2 = 0), large |z1|, zeros and phases
+RVB_LIMB_POINTS = ((0.3 + 0.1j, 0.2), (1.2, 1.2 - 0.3j), (0.0, 0.9j),
+                   (2.0, -0.5 + 1e-7), (1j, 1j * (1 + 1e-9)),
+                   (1e3 * np.exp(0.4j), 0.05 - 0.02j), (-1e3, 0.3))
+VACUUM_LIMB_POINTS = ((0.0, 0.45), (0.2 - 0.1j, 0.3j), (0.5, -0.5 + 1e-7),
+                      (1e-3 * np.exp(2.0j), -0.7 + 0.2j), (0.3, 0.0))
+
+
+@pytest.mark.parametrize("unconstrained", [False, True])
+def test_build_matches_per_cover_sum(covers12, basis12, unconstrained):
+    basis = full_basis(12) if unconstrained else basis12
+    builder = AnsatzBuilder(covers12, basis)
+    for z1, z2 in RVB_LIMB_POINTS:
+        want = per_cover_oracle(covers12, basis, z1, z2, 1 + z1 * z2)
+        got = builder.build(z1, z2).amplitudes
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+    for w1, z2 in VACUUM_LIMB_POINTS:
+        want = per_cover_oracle(covers12, basis, 1.0, z2, w1 + z2)
+        got = builder.build_vacuum_limb(w1, z2).amplitudes
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_z1_zero_is_rvb(builder12, rvb12):
