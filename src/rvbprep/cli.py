@@ -418,6 +418,14 @@ def _read_csv(path):
     return header, rows
 
 
+def _cell_numbers(cell):
+    """The numbers of a CSV cell (several when ';'-separated), or None."""
+    try:
+        return [float(v) for v in cell.split(";")]
+    except ValueError:
+        return None
+
+
 def verify_goldens(out_dir, golden_dir, tolerances=None):
     """Compare every golden CSV against the run output; returns a report."""
     tolerances = tolerances or {}
@@ -443,16 +451,17 @@ def verify_goldens(out_dir, golden_dir, tolerances=None):
         worst = {}
         for wrow, grow in zip(want, got):
             for col, wv, gv in zip(want_h, wrow, grow):
-                try:
-                    wf, gf = float(wv), float(gv)
-                except ValueError:
+                wf, gf = _cell_numbers(wv), _cell_numbers(gv)
+                if wf is None or gf is None or len(wf) != len(gf):
                     if wv != gv:
                         worst[col] = np.inf
                     continue
-                if np.isnan(wf) and np.isnan(gf):
-                    continue
-                dev = abs(wf - gf) / (1.0 + abs(wf))
-                worst[col] = max(worst.get(col, 0.0), dev)
+                for w, g in zip(wf, gf):
+                    if w == g or (np.isnan(w) and np.isnan(g)):
+                        continue
+                    dev = abs(w - g) / (1.0 + abs(w))
+                    worst[col] = max(worst.get(col, 0.0),
+                                     np.inf if np.isnan(dev) else dev)
         bad = {c: d for c, d in worst.items()
                if d > col_tol.get(c, col_tol.get("*", 1e-9))}
         if bad:

@@ -165,3 +165,45 @@ def test_fit_trajectory_warm_start_and_csv(tmp_path, covers12, basis12,
 def test_default_seeds_cover_both_limbs():
     assert any(abs(complex(a)) >= 5.0 for a, _ in DEFAULT_SEEDS)
     assert any(abs(complex(a)) < 5.0 for a, _ in DEFAULT_SEEDS)
+
+
+@pytest.mark.parametrize("unconstrained", [False, True])
+def test_fit_objective_matches_state_overlap(covers12, basis12,
+                                             unconstrained):
+    basis = full_basis(12) if unconstrained else basis12
+    builder = AnsatzBuilder(covers12, basis)
+    rng = np.random.default_rng(7)
+    for _ in range(4):
+        psi = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+        psi /= np.linalg.norm(psi)
+        moments = builder.moments(psi)
+        for _ in range(6):
+            a, b = 10.0 ** rng.uniform(-2, 1, size=2) * np.exp(
+                2j * np.pi * rng.random(2))
+            for coef, state in (
+                    (builder.coefficients(a, b), builder.build(a, b)),
+                    (builder.vacuum_coefficients(a / 10, b),
+                     builder.build_vacuum_limb(a / 10, b))):
+                want = abs(np.vdot(state.amplitudes, psi))
+                got = builder.overlap(coef, moments)
+                assert got == pytest.approx(want, rel=1e-10, abs=0)
+
+
+def test_fit_counts_every_evaluation_and_reports_state_overlap(
+        covers12, basis12, builder12, monkeypatch):
+    target = builder12.build(0.8, 0.35 + 0.1j)
+    calls = []
+    for name in ("coefficients", "vacuum_coefficients"):
+        method = getattr(builder12, name)
+        monkeypatch.setattr(builder12, name,
+                            lambda *a, f=method: calls.append(a) or f(*a))
+    fit = fit_to_state(target, covers12, basis12, builder=builder12,
+                       max_evals=300)
+    # one call per evaluation of every start, plus the returned state
+    assert fit.n_evaluations == len(calls) - 1
+    assert fit.n_evaluations > 300
+    monkeypatch.undo()
+    assert fit.limb == "rvb"
+    want = abs(np.vdot(builder12.build_params(fit.params).amplitudes,
+                       target.amplitudes))
+    assert fit.overlap == pytest.approx(want, rel=1e-14, abs=0)

@@ -208,3 +208,24 @@ def test_fit_sweep_experiment_reaches_its_ratios(tmp_path):
                     "--config", cfg, "--out", out]) == 0
     cols = read_csv(os.path.join(out, "fits.csv"))
     assert np.allclose(cols["delta_over_omega"], [1.0, 2.4])
+
+
+def test_verify_compares_number_lists_and_non_finite_cells(tmp_path):
+    golden, out = tmp_path / "golden", tmp_path / "out"
+    golden.mkdir()
+    out.mkdir()
+    (golden / "t.csv").write_text(
+        "label,x,top\nrvb,inf,0.25;0.125\nvac,nan,0.5\n")
+
+    def report(row1, row2):
+        (out / "t.csv").write_text("label,x,top\n%s\n%s\n" % (row1, row2))
+        return cli.verify_goldens(str(out), str(golden))
+
+    ok = report("rvb,inf,0.25000000000000006;0.125", "vac,nan,0.5")
+    assert ok["passed"] == ["t.csv"]
+    for row1, row2 in (("rvb,inf,0.2501;0.125", "vac,nan,0.5"),
+                       ("rvb,inf,0.25", "vac,nan,0.5"),
+                       ("rvb,inf,0.25;0.125", "vac,1.0,0.5"),
+                       ("rvb,3.0,0.25;0.125", "vac,nan,0.5"),
+                       ("rvb,inf,0.25;0.125", "liq,nan,0.5")):
+        assert report(row1, row2)["failed"], (row1, row2)
