@@ -129,7 +129,7 @@ class AnsatzBuilder:
         for pc up to the largest excitation count of the basis."""
         ks = self._ks
         with np.errstate(invalid="ignore"):
-            coef = ((x ** (ks[-1] - ks) * u ** ks)[:, None]
+            coef = ((x ** (self.n_dimers - ks) * u ** ks)[:, None]
                     * (z2 ** self._pcs)[self._e2])
         return np.where(self._valid, coef, 0.0)
 
@@ -237,15 +237,13 @@ def fit_to_state(psi, covers, basis, seeds=DEFAULT_SEEDS, warm_start=None,
             best = (on_limb, res, coefficients)
 
     on_limb, res, coefficients = best
+    a, z2 = complex(res.x[0], res.x[1]), complex(res.x[2], res.x[3])
+    phi = builder.state(coefficients(a, z2))
     if on_limb:
-        w1 = complex(res.x[0], res.x[1])
-        z1 = np.inf if w1 == 0 else 1.0 / w1
+        z1 = np.inf if a == 0 else 1.0 / a
     else:
-        z1 = complex(res.x[0], res.x[1])
-    phi = builder.state(coefficients(complex(res.x[0], res.x[1]),
-                                     complex(res.x[2], res.x[3])))
-    params = AnsatzParams(z1, complex(res.x[2], res.x[3]),
-                          projected=basis.radius >= 2.0)
+        z1 = a
+    params = AnsatzParams(z1, z2, projected=basis.radius >= 2.0)
     return FitResult(params, float(abs(np.vdot(phi.amplitudes, target))),
                      n_evaluations, int(res.nit), bool(res.success),
                      "vacuum" if on_limb else "rvb")
