@@ -26,7 +26,7 @@ the reparameterization w1 = 1/z1, where coef[k, pc] = z2^(pc - k) (w1 + z2)^k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -67,7 +67,6 @@ class FitResult:
     n_iterations: int
     converged: bool
     limb: str = "rvb"                  # "rvb" or "vacuum" parameterization
-    trace: list = field(default_factory=list, repr=False)
 
 
 class AnsatzBuilder:

@@ -299,18 +299,18 @@ def cmd_fit(cfg, run):
 
 
 def cmd_tn_grid(cfg, run):
+    """Grid of transfer-matrix points; dn_dz1 differences the densities of
+    neighbouring z1 columns."""
     L = cfg.get("circumference", 6)
     projected = cfg.get("projected", True)
     compute_xi = cfg.get("compute_xi", not projected)
-    fd_step = cfg.get("fd_step", 1e-3)
     tol = cfg.get("tol", 1e-10)
     z1s = _grid(cfg, "z1")
     z2s = _grid(cfg, "z2")
+    if len(z1s) < 2:
+        raise ConfigError("z1 needs at least two values for dn_dz1")
     loop_z = _build_loop(cfg["loop_z"]) if "loop_z" in cfg else None
     loop_x = _build_loop(cfg["loop_x"]) if "loop_x" in cfg else None
-    fd_mode = cfg.get("fd", "local")
-    if fd_mode not in ("local", "grid"):
-        raise ConfigError("fd must be 'local' or 'grid'")
     records = []
     warm = None
     for i2, z2 in enumerate(z2s):
@@ -318,19 +318,14 @@ def cmd_tn_grid(cfg, run):
         order = list(z1s) if i2 % 2 == 0 else list(z1s)[::-1]
         row = []
         for z1 in order:
-            # fd: grid differences the densities of neighbouring columns
-            # below instead of solving two more points per column
             rec, warm = tnet.phase_diagram_point(
                 float(z1), float(z2), L, projected, loop_z, loop_x,
-                fd_step=fd_step if fd_mode == "local" else None, tol=tol,
-                compute_xi=compute_xi, warm=warm)
+                fd_step=None, tol=tol, compute_xi=compute_xi, warm=warm)
             row.append(rec)
         row.sort(key=lambda r: r["z1"])
-        if fd_mode == "grid":
-            grad = np.gradient(np.array([r["density"] for r in row]),
-                               np.asarray(z1s, dtype=float))
-            for rec, g in zip(row, grad):
-                rec["dn_dz1"] = float(g)
+        grad = np.gradient(np.array([r["density"] for r in row]), z1s)
+        for rec, g in zip(row, grad):
+            rec["dn_dz1"] = float(g)
         records.extend(row)
     tnet.grid_to_csv(records, run.path("grid.csv"))
     return ["grid.csv"]
@@ -500,7 +495,6 @@ FIG2_FIT = {
 
 FIG3A_DENSITY = {
     "circumference": 6, "projected": True, "compute_xi": False,
-    "fd": "grid",
     "z1": {"min": 0.1, "max": 1.5, "num": 20},
     "z2": {"min": 0.1, "max": 1.5, "num": 20},
 }
@@ -535,7 +529,6 @@ EXPERIMENT_DEFAULTS = {
     "fig3a_density_L4": ("tn-grid", dict(FIG3A_DENSITY, circumference=4)),
     "fig3b_bffm": ("tn-grid", {
         "circumference": 6, "projected": True, "compute_xi": False,
-        "fd": "grid",
         "z1": {"min": 0.05, "max": 1.5, "num": 12},
         "z2": {"min": 0.05, "max": 1.5, "num": 12},
         "loop_z": {"shape": "hexagon", "radius": 2},

@@ -395,31 +395,6 @@ def loop_block_span(loop):
     return max(ns) - min(ns) + 2
 
 
-def enumerate_loops(circumference, kind, max_perimeter):
-    """Hexagonal and strip-parallelogram loops fitting a cylinder.
-
-    ``circumference`` is the number of unit cells around the cylinder; loops
-    must not wrap around it.  Returns loops sorted by perimeter.
-    """
-    loops = []
-    radius = 1
-    while 6 * (2 * radius - 1) <= max_perimeter:
-        loop = hexagon_loop(kind, radius)
-        if loop_block_span(loop) <= circumference:
-            loops.append(loop)
-        radius += 1
-    for h in (1, 2):
-        w = 1
-        while 4 * (w + h) - 2 <= max_perimeter:
-            if w >= h:
-                loop = parallelogram_loop(kind, w, h)
-                if loop_block_span(loop) <= circumference:
-                    loops.append(loop)
-            w += 1
-    loops.sort(key=lambda l: (l.perimeter, l.shape))
-    return loops
-
-
 # --- Kitaev-Preskill regions --------------------------------------------
 
 def kitaev_preskill_regions(cluster):

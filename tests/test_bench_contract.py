@@ -6,6 +6,7 @@ renames or moves one of them would otherwise surface only when the
 benchmark runs.  Nothing but ``tracing`` is read from ``benchmarks/``.
 """
 
+import dataclasses
 import inspect
 import os
 import sys
@@ -18,7 +19,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir,
 
 import tracing  # noqa: E402
 
-from rvbprep import evolve, spectrum  # noqa: E402
+from rvbprep import evolve, spectrum, tnet  # noqa: E402
 from rvbprep.model import (HamiltonianOperator, HamiltonianSpec,  # noqa: E402
                            SweepSchedule)
 
@@ -35,6 +36,17 @@ def test_traced_signatures():
     lanczos = inspect.signature(evolve.lanczos_expm_step)
     assert list(lanczos.parameters) == ["apply_h", "psi", "dt", "tol",
                                         "krylov_dim", "breakdown_tol"]
+
+
+def test_tnet_calls_of_the_cylinder_workload():
+    # the tn-cylinder workload warm-starts dominant_eigenpair, reads these
+    # Boundaries fields, and calls phase_diagram_point with a local fd_step
+    fields = {f.name for f in dataclasses.fields(tnet.Boundaries)}
+    assert {"iterations", "right", "left", "residual", "lam0"} <= fields
+    eig = inspect.signature(tnet.dominant_eigenpair).parameters
+    assert {"right0", "left0", "compute_lam1"} <= set(eig)
+    point = inspect.signature(tnet.phase_diagram_point).parameters
+    assert {"fd_step", "warm", "compute_xi"} <= set(point)
 
 
 def test_operator_attributes_read_by_the_hooks(basis12):

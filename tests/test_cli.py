@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from rvbprep import cli
+from rvbprep import cli, tnet
 
 from conftest import read_csv
 
@@ -84,19 +84,24 @@ def test_fit_verb(tmp_path):
 
 
 def test_tn_grid_modes_agree(tmp_path):
-    base = {"circumference": 2, "projected": True, "compute_xi": False,
-            "z1": [0.2, 0.3, 0.4, 0.5], "z2": [0.3]}
-    out_l = str(tmp_path / "local")
-    out_g = str(tmp_path / "grid")
-    cfg_l = write_config(tmp_path, "l.json", dict(base, fd="local"))
-    cfg_g = write_config(tmp_path, "g.json", dict(base, fd="grid"))
-    assert run_cli(["tn-grid", "--config", cfg_l, "--out", out_l]) == 0
-    assert run_cli(["tn-grid", "--config", cfg_g, "--out", out_g]) == 0
-    a = read_csv(os.path.join(out_l, "grid.csv"))
-    b = read_csv(os.path.join(out_g, "grid.csv"))
-    assert np.allclose(a["density"], b["density"], atol=1e-9)
-    # interior derivative estimates agree between the two differencing modes
-    assert np.allclose(a["dn_dz1"][1:-1], b["dn_dz1"][1:-1], atol=2e-2)
+    # the grid column of dn_dz1 against a local central difference
+    z1s = [0.2, 0.3, 0.4, 0.5]
+    cfg = write_config(tmp_path, "c.json", {
+        "circumference": 2, "projected": True, "compute_xi": False,
+        "z1": z1s, "z2": [0.3]})
+    out = str(tmp_path / "out")
+    assert run_cli(["tn-grid", "--config", cfg, "--out", out]) == 0
+    got = read_csv(os.path.join(out, "grid.csv"))
+    local = [tnet.phase_diagram_point(z1, 0.3, 2, fd_step=1e-3,
+                                      compute_xi=False)[0] for z1 in z1s]
+    assert np.allclose(got["density"], [r["density"] for r in local],
+                       atol=1e-9)
+    assert np.allclose(got["dn_dz1"][1:-1],
+                       [r["dn_dz1"] for r in local[1:-1]], atol=2e-2)
+    one = write_config(tmp_path, "one.json", {"circumference": 2,
+                                              "z1": [0.2], "z2": [0.3]})
+    assert run_cli(["tn-grid", "--config", one,
+                    "--out", str(tmp_path / "one")]) == 2
 
 
 def test_verify_pass_perturb_missing(tmp_path):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from rvbprep.geometry import (GeometryError, build_cluster, cluster_preset,
-                              constraint_graph, dump_cluster, enumerate_loops,
-                              hexagon_loop, kitaev_preskill_regions,
+                              constraint_graph, dump_cluster, hexagon_loop,
+                              kitaev_preskill_regions,
                               load_cluster, loop_block_span,
                               parallelogram_loop, tee_cluster,
                               triangle_vertices)
@@ -119,14 +119,6 @@ def test_loop_atoms_belong_to_their_triangle():
     for t, a in zip(tri_ids, atom_ids):
         assert a in cl.triangle_incidence[t]
     assert len(set(atom_ids)) == lp.perimeter
-
-
-def test_enumerate_loops_filters_by_span():
-    loops = enumerate_loops(4, "diagonal", 30)
-    assert loops
-    for lp in loops:
-        assert loop_block_span(lp) <= 4
-        assert lp.perimeter <= 30
 
 
 def test_triangle_vertices_shared_between_neighbours():
