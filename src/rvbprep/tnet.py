@@ -31,7 +31,7 @@ ENDCAP = np.array([[1.0, 0.0], [1.0, 0.0]])       # open-string endpoint:
 
 DEFAULT_TOL = 1e-10
 POWER_MAX_ITER = 200000
-START_SEED = 7          # seeds the start vectors that callers do not give
+START_SEED = 7          # seeds cold starts and the Arnoldi start vector
 
 
 class TnetError(RuntimeError):
@@ -405,9 +405,9 @@ def dominant_eigenpair(tm, tol=DEFAULT_TOL, right0=None, left0=None,
     sectors carry the topological (near-)copies of lambda0 and their
     finite-L splittings, which say nothing about local correlations.
     Both fixed points come from power iteration, started from right0/left0
-    when given; the sector's lambda1/lambda0 stays well below 1 on the
-    figure grids, so it converges in tens of row applies.  |lambda1| is the
-    second-largest magnitude of one Arnoldi (ARPACK) solve.
+    when given; the sector's lambda1/lambda0 stays well below 1 (at most
+    0.4 on the figS5 grid), so it converges in tens of row applies.
+    |lambda1| is the second-largest magnitude of one Arnoldi (ARPACK) solve.
     """
     if tm.circumference % 2:
         raise TnetError(

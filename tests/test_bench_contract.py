@@ -1,9 +1,10 @@
-"""The entry points the benchmark harness wraps, as tier-1 checks.
+"""The entry points the benchmark harness wraps and calls, as tier-1 checks.
 
 ``benchmarks/tracing.py`` replaces ``vars(owner)[attr]`` for each of its
-targets and its hooks read attributes of the arguments; a change that
-renames or moves one of them would otherwise surface only when the
-benchmark runs.  Nothing but ``tracing`` is read from ``benchmarks/``.
+targets and its hooks read attributes of the arguments, and the workloads
+call the library with keyword arguments; a change that renames or moves one
+of them would otherwise surface only when the benchmark runs.  Nothing but
+``tracing`` is read from ``benchmarks/``.
 """
 
 import dataclasses
