@@ -228,8 +228,8 @@ def test_phase_diagram_point_record(tmp_path):
 @pytest.mark.parametrize("projected,L,z1,z2", [
     # unprojected L = 4, one point on each side of the xi ridge
     (False, 4, 0.5, 0.05), (False, 4, 1.3, 0.05),
-    # points where lambda1 is a complex pair (projected L = 2) or close to
-    # the next identity-sector magnitude (unprojected L = 4, small z)
+    # lambda1 a complex pair (projected L = 2), or small and within 2 % in
+    # magnitude of complex eigenvalues (unprojected L = 4, small z)
     (True, 2, 0.7, 0.3), (True, 2, 1.5, 0.05),
     (False, 4, 0.3, 0.05), (False, 4, 0.05, 0.05)])
 def test_correlation_length_matches_dense_identity_sector(projected, L, z1,
