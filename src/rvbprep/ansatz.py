@@ -35,6 +35,7 @@ from .hilbert import StateVector
 
 OVERFLOW_GUARD = 1e6
 DEFAULT_SEEDS = ((0.0, 0.0), (0.3, 0.1), (1.0, 0.5), (3.0, 0.2), (10.0, 0.0))
+DIAM_TOL = 1e-6         # Nelder-Mead's xatol
 # bytes of the (covers x configs) overlap table built at a time
 CHUNK_BYTES = 1 << 20
 
@@ -182,15 +183,8 @@ def build_ansatz(params, covers, basis):
     return AnsatzBuilder(covers, basis).build_params(params)
 
 
-def _run_simplex(objective, x0, max_evals, diam_tol):
-    res = minimize(objective, x0, method="Nelder-Mead",
-                   options={"xatol": diam_tol, "fatol": 1e-14,
-                            "maxfev": max_evals, "maxiter": max_evals})
-    return res
-
-
-def fit_to_state(psi, covers, basis, seeds=DEFAULT_SEEDS, warm_start=None,
-                 max_evals=2000, diam_tol=1e-6, builder=None):
+def fit_to_state(psi, covers, basis, warm_start=None, max_evals=2000,
+                 builder=None):
     """Maximize |<phi(z1,z2)|psi>| by multistart Nelder-Mead.
 
     Each seed (and the optional warm start) runs a 4-real-parameter simplex;
@@ -213,7 +207,7 @@ def fit_to_state(psi, covers, basis, seeds=DEFAULT_SEEDS, warm_start=None,
                 return 0.0
         return negative_overlap
 
-    starts = [(complex(a), complex(b)) for a, b in seeds]
+    starts = [(complex(a), complex(b)) for a, b in DEFAULT_SEEDS]
     if warm_start is not None:
         z1 = warm_start.z1 if not warm_start.vacuum_limit else 1e9
         starts.append((z1, warm_start.z2))
@@ -229,8 +223,10 @@ def fit_to_state(psi, covers, basis, seeds=DEFAULT_SEEDS, warm_start=None,
         else:
             x0 = [z1s.real, z1s.imag, z2s.real, z2s.imag]
             coefficients = builder.coefficients
-        res = _run_simplex(objective(coefficients), np.asarray(x0, float),
-                           max_evals, diam_tol)
+        res = minimize(objective(coefficients), np.asarray(x0, float),
+                       method="Nelder-Mead",
+                       options={"xatol": DIAM_TOL, "fatol": 1e-14,
+                                "maxfev": max_evals, "maxiter": max_evals})
         n_evaluations += int(res.nfev)
         if best is None or res.fun < best[1].fun:
             best = (on_limb, res, coefficients)

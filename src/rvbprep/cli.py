@@ -26,7 +26,8 @@ from .hilbert import (enumerate_basis, enumerate_maximal_covers, rvb_state,
 from .model import (HamiltonianSpec, HamiltonianOperator, SweepSchedule,
                     full_rydberg_spec)
 from .evolve import evolve_sweep, trajectory_to_csv
-from .spectrum import fidelity_susceptibility_scan, scan_to_csv
+from .spectrum import (fidelity_susceptibility_scan, groundstate,
+                       scan_to_csv)
 from .ansatz import AnsatzBuilder, fit_trajectory, fits_to_csv
 from . import tnet
 from . import entangle
@@ -51,9 +52,9 @@ def _need(cfg, key, types, path=""):
     return val
 
 
-def _grid(cfg, key, path=""):
+def _grid(cfg, key):
     """A numeric grid given either as a list or as {min, max, num}."""
-    val = _need(cfg, key, (list, dict), path)
+    val = _need(cfg, key, (list, dict))
     if isinstance(val, list):
         return np.asarray(val, dtype=float)
     lo = _need(val, "min", (int, float), key)
@@ -73,13 +74,53 @@ def load_config(path):
     return cfg
 
 
+# the keys each verb reads, and the keys read inside the objects (or lists
+# of objects) that some keys hold; a run stops at any other key
+SWEEP_KEYS = {"total_time", "protocol", "delta0", "delta1", "stage_times",
+              "dt_max", "local_tol"}
+MODEL_KEYS = {"n_atoms", "cells", "model"}
+VERB_KEYS = {
+    "cluster": {"n_atoms", "cells", "constraint_radius"},
+    "gs-scan": MODEL_KEYS | {"lambda", "dlambda", "tol"},
+    "sweep": MODEL_KEYS | SWEEP_KEYS | {"sizes", "sweep_times", "delta1_grid",
+                                        "n_samples", "write_trajectories"},
+    "fit": MODEL_KEYS | SWEEP_KEYS | {
+        "delta_over_omega", "source", "tol", "max_evals"},
+    "tn-grid": {"circumference", "projected", "compute_xi", "tol", "z1",
+                "z2", "loop_z", "loop_x"},
+    "bffm-scaling": {"circumference", "tol", "loops", "z1", "z2"},
+    "tee": SWEEP_KEYS | {"n_atoms", "model", "source", "points",
+                         "checkpoint_times"},
+    "verify": {"golden_dir", "compare_dir", "tolerances"},
+}
+LOOP_KEYS = {"shape", "radius", "w", "h"}
+NESTED_KEYS = dict(
+    dict.fromkeys(("lambda", "sweep_times", "delta1_grid", "z1", "z2",
+                   "delta_over_omega", "checkpoint_times"),
+                  {"min", "max", "num"}),
+    loop_z=LOOP_KEYS, loop_x=LOOP_KEYS, loops=LOOP_KEYS,
+    points={"label", "limb", "z1", "z2"})
+
+
+def check_keys(verb, cfg):
+    """Raise ConfigError naming every config key ``verb`` does not read."""
+    unknown = sorted(set(cfg) - VERB_KEYS[verb])
+    for key, val in cfg.items():
+        for item in val if isinstance(val, list) else [val]:
+            if key in NESTED_KEYS and isinstance(item, dict):
+                unknown += ["%s.%s" % (key, k)
+                            for k in sorted(set(item) - NESTED_KEYS[key])]
+    if unknown:
+        raise ConfigError("config keys not read by %s: %s"
+                          % (verb, ", ".join(unknown)))
+
+
 def _build_loop(spec):
-    kind = spec.get("kind", "diagonal")
     shape = _need(spec, "shape", str, "loop")
     if shape == "hexagon":
-        return hexagon_loop(kind, _need(spec, "radius", int, "loop"))
+        return hexagon_loop("diagonal", _need(spec, "radius", int, "loop"))
     if shape == "parallelogram":
-        return parallelogram_loop(kind, _need(spec, "w", int, "loop"),
+        return parallelogram_loop("diagonal", _need(spec, "w", int, "loop"),
                                   _need(spec, "h", int, "loop"))
     raise ConfigError("loop.shape must be hexagon or parallelogram")
 
@@ -184,19 +225,6 @@ def _operator(cfg, cluster=None):
     return cluster, basis, covers, op
 
 
-def _rvb_in(basis, covers, cluster):
-    """RVB state expressed on ``basis`` (any radius >= the blockade one)."""
-    from .hilbert import StateVector
-    blockade = enumerate_basis(constraint_graph(cluster, 2.0))
-    rvb = rvb_state(covers, blockade)
-    if basis.dim == blockade.dim:
-        return rvb
-    idx = basis.indices_of(blockade.configs)
-    amps = np.zeros(basis.dim, dtype=np.complex128)
-    amps[idx] = rvb.amplitudes
-    return StateVector(basis, amps)
-
-
 # --- verbs ----------------------------------------------------------------
 
 def cmd_cluster(cfg, run):
@@ -236,8 +264,8 @@ def cmd_sweep(cfg, run):
     for n_atoms in sizes:
         sub = dict(cfg)
         sub["n_atoms"] = int(n_atoms)
-        cluster, basis, covers, op = _operator(sub)
-        rvb = _rvb_in(basis, covers, cluster)
+        _, basis, covers, op = _operator(sub)
+        rvb = rvb_state(covers, basis)
         for delta1 in delta1s:
             for total in times:
                 scfg = dict(sub, total_time=float(total))
@@ -275,7 +303,6 @@ def cmd_fit(cfg, run):
     source = cfg.get("source", "groundstate")
     snapshots = []
     if source == "groundstate":
-        from .spectrum import groundstate
         v0 = None
         for r in ratios:
             gs = groundstate(op, 1.0, float(r), tol=cfg.get("tol", 1e-10),
@@ -358,7 +385,6 @@ def cmd_tee(cfg, run):
     cluster = tee_cluster(n_atoms)
     regions = kitaev_preskill_regions(cluster)
     covers = enumerate_maximal_covers(cluster)
-    outputs = []
     if cfg.get("source", "ansatz") == "ansatz":
         basis = enumerate_basis(constraint_graph(cluster, 2.0))
         builder = AnsatzBuilder(covers, basis)
@@ -379,14 +405,12 @@ def cmd_tee(cfg, run):
             json.dump({"n_atoms": n_atoms, "points": gammas}, fh,
                       indent=2, sort_keys=True)
             fh.write("\n")
-        outputs += ["entropies.csv", "gamma.json"]
+        return ["entropies.csv", "gamma.json"]
     else:                       # gamma along a sweep, raw and abs states
-        sub = dict(cfg)
-        sub["cells"] = [cluster.n1, cluster.n2, cluster.shear]
-        _, basis, covers, op = _operator(sub, cluster)
+        _, basis, covers, op = _operator(cfg, cluster)
         schedule = _make_schedule(cfg)
         checks = list(_grid(cfg, "checkpoint_times"))
-        rvb = _rvb_in(basis, covers, cluster)
+        rvb = rvb_state(covers, basis)
         traj = evolve_sweep(op, schedule, rvb=rvb,
                             dt_max=cfg.get("dt_max", 0.5),
                             local_tol=cfg.get("local_tol", 1e-9),
@@ -400,8 +424,7 @@ def cmd_tee(cfg, run):
                 g_abs = entangle.topological_entropy_report(
                     abs_state(psi), regions).gamma
                 fh.write("%.17g,%.17g,%.17g\n" % (t, g_raw, g_abs))
-        outputs.append("gamma_sweep.csv")
-    return outputs
+        return ["gamma_sweep.csv"]
 
 
 # --- goldens --------------------------------------------------------------
@@ -604,6 +627,7 @@ def main(argv=None):
             cfg.update(load_config(args.config))
         if not cfg and args.verb != "verify":
             raise ConfigError("provide --config and/or --experiment")
+        check_keys(args.verb, cfg)
         out_dir = args.out or os.path.join(
             os.environ.get(OUTPUT_ROOT_ENV, "runs"), name or args.verb)
         run = Run(out_dir, name or args.verb, cfg)

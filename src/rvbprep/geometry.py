@@ -36,9 +36,6 @@ SUBLATTICE = np.array(
     ]
 )
 
-# Kagome vertices inside one cell.
-VERTEX_OFFSETS = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, SQRT3]])
-
 DIST_TOL = 1e-9
 
 SCHEMA_VERSION = 1
@@ -363,25 +360,23 @@ def _loop_from_triangles(kind, shape, plaquettes):
                     crossing=crossing)
 
 
-def hexagon_loop(kind, radius, origin=(0, 0)):
+def hexagon_loop(kind, radius):
     """Hexagonal loop of perimeter 6*(2*radius - 1) links."""
-    n0, m0 = origin
     plaqs = []
     for dn in range(-radius + 1, radius):
         for dm in range(-radius + 1, radius):
             if abs(dn + dm) <= radius - 1:
-                plaqs.append((n0 + dn, m0 + dm))
+                plaqs.append((dn, dm))
     return _loop_from_triangles(kind, "hexagon", plaqs)
 
 
-def parallelogram_loop(kind, w, h, origin=(0, 0)):
+def parallelogram_loop(kind, w, h):
     """Parallelogram loop of perimeter 4*(w + h) - 2 links.
 
     The long side w extends along the second lattice direction (the
     cylinder's transfer direction); h along the first (the circumference).
     """
-    n0, m0 = origin
-    plaqs = [(n0 + j, m0 + i) for i in range(w) for j in range(h)]
+    plaqs = [(j, i) for i in range(w) for j in range(h)]
     return _loop_from_triangles(kind, "parallelogram", plaqs)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 MAGIC = b"RVBB"
 BINARY_VERSION = 1
 
-DEFAULT_BUDGET_GIB = 8.0
+BASIS_BUDGET_GIB = 8.0
 
 
 class CapacityError(MemoryError):
@@ -103,7 +103,7 @@ class DimerCoverSet:
         return len(self.covers)
 
 
-def enumerate_basis(graph, budget_gib=DEFAULT_BUDGET_GIB):
+def enumerate_basis(graph):
     """All independent sets of the constraint graph, ascending as integers.
 
     Incremental construction over atoms: every independent set either omits
@@ -116,13 +116,14 @@ def enumerate_basis(graph, budget_gib=DEFAULT_BUDGET_GIB):
     masks = graph.blocked_masks()
     lower_masks = [np.uint64(masks[k] & ((1 << k) - 1)) for k in range(n)]
     configs = np.zeros(1, dtype=np.uint64)
-    budget_words = int(budget_gib * 2**30) // 8
+    budget_words = int(BASIS_BUDGET_GIB * 2**30) // 8
     for k in range(n):
         ok = (configs & lower_masks[k]) == 0
         add = configs[ok] | np.uint64(1 << k)
         if len(configs) + len(add) > budget_words:
             raise CapacityError(
-                "constrained basis exceeds memory budget of %.1f GiB" % budget_gib
+                "constrained basis exceeds memory budget of %.1f GiB"
+                % BASIS_BUDGET_GIB
             )
         configs = np.concatenate([configs, add])
     configs.sort()
@@ -211,11 +212,7 @@ def project_to_subspace(psi, target):
     Returns (projected_state, weight) with weight the squared norm of the
     retained component before renormalization.
     """
-    source = psi.basis
-    pos = np.searchsorted(source.configs, target.configs)
-    if np.any(pos >= source.dim) or np.any(source.configs[np.minimum(pos, source.dim - 1)] != target.configs):
-        raise BasisError("target basis is not a subspace of the state's basis")
-    amps = psi.amplitudes[pos]
+    amps = psi.amplitudes[psi.basis.indices_of(target.configs)]
     weight = float(np.vdot(amps, amps).real)
     if weight < 1e-14:
         raise BasisError("state has no weight in the target subspace")

@@ -15,6 +15,7 @@ import scipy.sparse.linalg as spla
 DEGENERACY_GAP = 1e-8
 DENSE_CUTOFF = 600
 START_SEED = 7          # seeds ARPACK's start vector when none is given
+MAX_ITER = 20000        # ARPACK restarts
 
 
 class SpectrumError(RuntimeError):
@@ -47,7 +48,7 @@ def _fix_phase(vec):
     return vec / phase
 
 
-def groundstate(op, omega, delta, tol=1e-10, max_iter=20000, v0=None):
+def groundstate(op, omega, delta, tol=1e-10, v0=None):
     """Lowest eigenpair of H(omega, delta) with the first gap.
 
     Diagonal Hamiltonians (omega = 0) are solved exactly; small dimensions
@@ -84,7 +85,7 @@ def groundstate(op, omega, delta, tol=1e-10, max_iter=20000, v0=None):
         else:
             v0 = np.asarray(v0).real.astype(np.float64)
         evals, evecs = spla.eigsh(lin, k=2, which="SA", tol=tol,
-                                  maxiter=max_iter, v0=v0)
+                                  maxiter=MAX_ITER, v0=v0)
         order = np.argsort(evals)
         e0 = float(evals[order[0]])
         gap = float(evals[order[1]] - e0)
@@ -104,7 +105,10 @@ def fidelity_susceptibility_scan(op, lambdas, dlambda=0.0025, rvb=None,
     """F(lambda) over a sorted lambda grid at fixed Omega = 1.
 
     Degenerate grid points are flagged and their F left as NaN rather than
-    averaged over the manifold.  Consecutive solves are warm-started.
+    averaged over the manifold.  Every row is a cold solve, so its gap is
+    the full spectral gap and it equals the one-row scan at its lambda: a
+    start vector from the previous row would keep Lanczos in that row's
+    symmetry sector.  The lambda + dlambda partner starts from its own row.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     if np.any(np.diff(lambdas) <= 0):
@@ -118,21 +122,19 @@ def fidelity_susceptibility_scan(op, lambdas, dlambda=0.0025, rvb=None,
     overlaps = np.full(n, np.nan)
     sus = np.full(n, np.nan)
     degen = np.zeros(n, dtype=bool)
-    rvb_amps = rvb.amplitudes if rvb is not None else None
 
-    v0 = None
     for i, lam in enumerate(lambdas):
-        gs = groundstate(op, 1.0, 1.0 / lam, tol=tol, v0=v0)
-        v0 = gs.state.amplitudes
-        gs2 = groundstate(op, 1.0, 1.0 / (lam + dlambda), tol=tol, v0=v0)
+        gs = groundstate(op, 1.0, 1.0 / lam, tol=tol)
+        gs2 = groundstate(op, 1.0, 1.0 / (lam + dlambda), tol=tol,
+                          v0=gs.state.amplitudes)
         energies[i] = gs.energy
         gaps[i] = gs.gap
         degen[i] = gs.degenerate or gs2.degenerate
         if not degen[i]:
             ov = abs(np.vdot(gs.state.amplitudes, gs2.state.amplitudes))
             sus[i] = (1.0 - min(ov, 1.0)) / dlambda
-        if rvb_amps is not None:
-            overlaps[i] = abs(np.vdot(rvb_amps, gs.state.amplitudes))
+        if rvb is not None:
+            overlaps[i] = abs(np.vdot(rvb.amplitudes, gs.state.amplitudes))
     return GroundstateScan(lambdas, energies, gaps, overlaps, sus, degen)
 
 

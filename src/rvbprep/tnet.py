@@ -407,7 +407,8 @@ def dominant_eigenpair(tm, tol=DEFAULT_TOL, right0=None, left0=None,
     Both fixed points come from power iteration, started from right0/left0
     when given; the sector's lambda1/lambda0 stays well below 1 (at most
     0.4 on the figS5 grid), so it converges in tens of row applies.
-    |lambda1| is the second-largest magnitude of one Arnoldi (ARPACK) solve.
+    |lambda1| is the second-largest magnitude of one Arnoldi (ARPACK) solve,
+    reported as 0 below tol * lambda0.
     """
     if tm.circumference % 2:
         raise TnetError(
@@ -440,6 +441,10 @@ def dominant_eigenpair(tm, tol=DEFAULT_TOL, right0=None, left0=None,
                          v0=rng.standard_normal(dim) * m_id,
                          return_eigenvectors=False)
         lam1 = float(np.sort(np.abs(vals))[0])
+        # an exact zero (z1 = 0 on the projected network) comes back as
+        # roundoff that varies from call to call
+        if lam1 < tol * lam0:
+            lam1 = 0.0
     scale = left @ right
     if abs(scale) < 1e-14:
         raise TnetError("left/right boundary vectors are orthogonal")

@@ -20,7 +20,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir,
 
 import tracing  # noqa: E402
 
-from rvbprep import evolve, spectrum, tnet  # noqa: E402
+from rvbprep import (ansatz, entangle, evolve, geometry,  # noqa: E402
+                     hilbert, spectrum, tnet)
 from rvbprep.model import (HamiltonianOperator, HamiltonianSpec,  # noqa: E402
                            SweepSchedule)
 
@@ -48,6 +49,22 @@ def test_tnet_calls_of_the_cylinder_workload():
     assert {"right0", "left0", "compute_lam1"} <= set(eig)
     point = inspect.signature(tnet.phase_diagram_point).parameters
     assert {"fd_step", "warm", "compute_xi"} <= set(point)
+
+
+def test_library_calls_of_the_workloads(cluster12, rvb12):
+    # keyword arguments the sweep, scan and fit workloads pass, and the
+    # calls they make with positional arguments only
+    for fn, keywords in ((spectrum.groundstate, {"tol", "v0"}),
+                         (spectrum.fidelity_susceptibility_scan,
+                          {"dlambda", "rvb", "tol"}),
+                         (ansatz.fit_to_state,
+                          {"warm_start", "max_evals", "builder"})):
+        assert keywords <= set(inspect.signature(fn).parameters), fn
+    basis = hilbert.enumerate_basis(geometry.constraint_graph(cluster12, 2.0))
+    assert basis.dim == rvb12.basis.dim
+    regions = ([0, 1], [2, 3], [4, 5])
+    assert np.isfinite(entangle.topological_entropy_report(rvb12,
+                                                           regions).gamma)
 
 
 def test_operator_attributes_read_by_the_hooks(basis12):

@@ -158,6 +158,25 @@ def test_config_errors_exit_2(tmp_path):
                     "--out", str(tmp_path / "o3")]) == 2
 
 
+def test_unknown_config_keys_exit_2(tmp_path):
+    # keys of an older tn-grid, a misspelt key and a loop's former "kind"
+    # key all stop the run before it writes anything
+    base = {"circumference": 2, "z1": [0.2, 0.3], "z2": [0.3]}
+    for i, (extra, key) in enumerate((
+            ({"fd": "local", "fd_step": 0.5}, "fd"),
+            ({"circumferance": 4}, "circumferance"),
+            ({"loop_x": {"shape": "hexagon", "radius": 1,
+                         "kind": "diagonal"}}, "loop_x.kind"))):
+        cfg = write_config(tmp_path, "c%d.json" % i, dict(base, **extra))
+        out = str(tmp_path / ("out%d" % i))
+        assert run_cli(["tn-grid", "--config", cfg, "--out", out]) == 2
+        assert not os.path.exists(out)
+        with pytest.raises(cli.ConfigError, match=key.replace(".", r"\.")):
+            cli.check_keys("tn-grid", dict(base, **extra))
+    for name, (verb, cfg) in cli.EXPERIMENT_DEFAULTS.items():
+        cli.check_keys(verb, cfg)
+
+
 def test_experiment_name_validation(tmp_path):
     assert run_cli(["sweep", "--experiment", "no_such_experiment",
                     "--out", str(tmp_path / "o")]) == 2

@@ -64,7 +64,8 @@ def test_groundstate_negative_detuning_is_vacuum(op12, basis12):
     assert abs(gs.state.amplitudes[basis12.index_of(0)]) == 1.0
 
 
-def test_scan_warm_started(op12, covers12, basis12):
+def test_scan_rows_are_independent_cold_solves(op12, covers12, basis12,
+                                               op24):
     rvb = rvb_state(covers12, basis12)
     lams = np.linspace(0.5, 1.3, 9)
     scan = fidelity_susceptibility_scan(op12, lams, rvb=rvb)
@@ -80,6 +81,21 @@ def test_scan_warm_started(op12, covers12, basis12):
     b = groundstate(op12, 1.0, 1.0 / (lams[i] + 0.0025)).state.amplitudes
     want = (1.0 - abs(np.vdot(a, b))) / 0.0025
     assert scan.susceptibilities[i] == pytest.approx(want, rel=1e-6, abs=1e-9)
+
+    # on the ARPACK path a start vector from the previous row would keep
+    # Lanczos in that row's symmetry sector and report the in-sector gap
+    assert op24.dim > 600
+    lams = [0.45, 0.50]
+    scan = fidelity_susceptibility_scan(op24, lams)
+    for i, lam in enumerate(lams):
+        evals = np.linalg.eigvalsh(op24.dense(1.0, 1.0 / lam))
+        assert scan.energies[i] == pytest.approx(evals[0], abs=1e-8)
+        assert scan.gaps[i] == pytest.approx(evals[1] - evals[0], abs=1e-8)
+        row = fidelity_susceptibility_scan(op24, [lam])
+        for got, want in ((scan.energies, row.energies),
+                          (scan.gaps, row.gaps),
+                          (scan.susceptibilities, row.susceptibilities)):
+            assert got[i] == want[0]
 
 
 def test_scan_input_validation(op12):

@@ -246,6 +246,17 @@ def test_correlation_length_matches_dense_identity_sector(projected, L, z1,
         1.0 / np.log(mags[0] / mags[1]), rel=1e-7)
 
 
+@pytest.mark.parametrize("L,z2", [(2, 0.05), (2, 0.3), (2, 0.8), (4, 0.3)])
+def test_vanishing_lambda1_gives_zero_xi(L, z2):
+    # at z1 = 0 the projected identity sector's lambda1 is exactly 0; ARPACK
+    # returns roundoff there that differs from call to call
+    tm = cylinder_transfer(0.0, z2, L)
+    for _ in range(2):
+        b = dominant_eigenpair(tm)
+        assert b.lam1_abs == 0.0
+        assert correlation_length(tm, b) == 0.0
+
+
 def _cover_average(covers, fn):
     return sum(fn(c) for c in covers) / len(covers)
 
