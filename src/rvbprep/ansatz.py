@@ -65,7 +65,6 @@ class FitResult:
     params: AnsatzParams
     overlap: float                     # |<phi(params)|psi>| from the state
     n_evaluations: int                 # objective evaluations, all starts
-    n_iterations: int
     converged: bool
     limb: str = "rvb"                  # "rvb" or "vacuum" parameterization
 
@@ -240,7 +239,7 @@ def fit_to_state(psi, covers, basis, warm_start=None, max_evals=2000,
         z1 = a
     params = AnsatzParams(z1, z2, projected=basis.radius >= 2.0)
     return FitResult(params, float(abs(np.vdot(phi.amplitudes, target))),
-                     n_evaluations, int(res.nit), bool(res.success),
+                     n_evaluations, bool(res.success),
                      "vacuum" if on_limb else "rvb")
 
 
@@ -262,18 +261,3 @@ def fit_trajectory(snapshots, covers, basis, **kwargs):
         except AnsatzError:
             results.append((label, None))
     return results
-
-
-def fits_to_csv(results, path):
-    with open(path, "w") as fh:
-        fh.write("delta_over_omega,overlap,re_z1,im_z1,re_z2,im_z2,converged\n")
-        for label, fit in results:
-            if fit is None:
-                fh.write("%.17g,nan,nan,nan,nan,nan,0\n" % label)
-                continue
-            z1, z2 = fit.params.z1, fit.params.z2
-            re1 = np.inf if fit.params.vacuum_limit else z1.real
-            im1 = 0.0 if fit.params.vacuum_limit else z1.imag
-            fh.write("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n" % (
-                label, fit.overlap, re1, im1, z2.real, z2.imag,
-                1 if fit.converged else 0))

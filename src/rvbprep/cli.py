@@ -1,9 +1,12 @@
-"""Experiment orchestration: configs, manifests, CSV artifacts, goldens.
+"""Experiment orchestration: configs, manifests, output files, goldens.
 
 Each verb runs one family of computations from a JSON config; named
 experiments provide default configs so standard production runs are
 one-liners.  Every run writes a manifest (config echo, version, wall clock,
 output digests) before heavy computation starts and finalizes it afterwards.
+
+This is the only module that writes files: every CSV goes through
+``write_csv`` and every JSON file through ``write_json``.
 """
 
 from __future__ import annotations
@@ -19,20 +22,20 @@ import numpy as np
 
 from . import __version__
 from .geometry import (build_cluster, cluster_preset, constraint_graph,
-                       dump_cluster, hexagon_loop, parallelogram_loop,
+                       hexagon_loop, parallelogram_loop,
                        kitaev_preskill_regions, tee_cluster)
 from .hilbert import (enumerate_basis, enumerate_maximal_covers, rvb_state,
-                      save_basis, save_covers, abs_state)
+                      abs_state)
 from .model import (HamiltonianSpec, HamiltonianOperator, SweepSchedule,
                     full_rydberg_spec)
-from .evolve import evolve_sweep, trajectory_to_csv
-from .spectrum import (fidelity_susceptibility_scan, groundstate,
-                       scan_to_csv)
-from .ansatz import AnsatzBuilder, fit_trajectory, fits_to_csv
+from .evolve import evolve_sweep
+from .spectrum import fidelity_susceptibility_scan, groundstate
+from .ansatz import AnsatzBuilder, fit_trajectory
 from . import tnet
 from . import entangle
 
 OUTPUT_ROOT_ENV = "RVBPREP_OUTPUT_ROOT"
+CLUSTER_SCHEMA_VERSION = 1
 
 
 class ConfigError(ValueError):
@@ -76,7 +79,7 @@ def load_config(path):
 
 # the keys each verb reads, and the keys read inside the objects (or lists
 # of objects) that some keys hold; a run stops at any other key
-SWEEP_KEYS = {"total_time", "protocol", "delta0", "delta1", "stage_times",
+SWEEP_KEYS = {"protocol", "delta0", "delta1", "stage_times",
               "dt_max", "local_tol"}
 MODEL_KEYS = {"n_atoms", "cells", "model"}
 VERB_KEYS = {
@@ -85,11 +88,11 @@ VERB_KEYS = {
     "sweep": MODEL_KEYS | SWEEP_KEYS | {"sizes", "sweep_times", "delta1_grid",
                                         "n_samples", "write_trajectories"},
     "fit": MODEL_KEYS | SWEEP_KEYS | {
-        "delta_over_omega", "source", "tol", "max_evals"},
+        "total_time", "delta_over_omega", "source", "tol", "max_evals"},
     "tn-grid": {"circumference", "projected", "compute_xi", "tol", "z1",
                 "z2", "loop_z", "loop_x"},
     "bffm-scaling": {"circumference", "tol", "loops", "z1", "z2"},
-    "tee": SWEEP_KEYS | {"n_atoms", "model", "source", "points",
+    "tee": SWEEP_KEYS | {"total_time", "n_atoms", "model", "source", "points",
                          "checkpoint_times"},
     "verify": {"golden_dir", "compare_dir", "tolerances"},
 }
@@ -125,8 +128,8 @@ def _build_loop(spec):
     raise ConfigError("loop.shape must be hexagon or parallelogram")
 
 
-def _make_schedule(cfg):
-    total = _need(cfg, "total_time", (int, float))
+def _make_schedule(cfg, total):
+    """The configured protocol over a sweep of duration ``total``."""
     protocol = cfg.get("protocol", "default")
     delta0 = cfg.get("delta0", -5.0)
     delta1 = cfg.get("delta1", 1.5 if protocol == "default" else 3.5)
@@ -136,7 +139,7 @@ def _make_schedule(cfg):
             raise ConfigError("stage_times must have exactly 3 entries")
         if abs(sum(stages) - total) > 1e-9 * max(total, 1.0):
             raise ConfigError(
-                "stage_times sum to %.17g but total_time is %.17g"
+                "stage_times sum to %.17g but the sweep lasts %.17g"
                 % (sum(stages), total))
         return SweepSchedule(total, stages[0], stages[1], stages[2],
                              delta0=delta0, delta1=delta1)
@@ -145,6 +148,30 @@ def _make_schedule(cfg):
     if protocol == "two_stage":
         return SweepSchedule.two_stage_protocol(total, delta0, delta1)
     raise ConfigError("protocol must be default or two_stage")
+
+
+# --- output files ---------------------------------------------------------
+
+def _csv_cell(x):
+    """A string as it is, a sequence as ';'-separated numbers, else a number."""
+    if isinstance(x, str):
+        return x
+    if np.ndim(x):
+        return ";".join("%.17g" % v for v in x)
+    return "%.17g" % x
+
+
+def write_csv(path, header, rows):
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_csv_cell(x) for x in row) + "\n")
+
+
+def write_json(path, obj):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 # --- manifests ------------------------------------------------------------
@@ -177,9 +204,7 @@ class Run:
         return os.path.join(self.dir, name)
 
     def _write(self):
-        with open(self.path("manifest.json"), "w") as fh:
-            json.dump(self.manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(self.path("manifest.json"), self.manifest)
 
     def finish(self, output_names):
         self.manifest["outputs"] = {n: _digest(self.path(n))
@@ -232,16 +257,23 @@ def cmd_cluster(cfg, run):
     r_c = cfg.get("constraint_radius", 2.0)
     basis = enumerate_basis(constraint_graph(cluster, r_c))
     covers = enumerate_maximal_covers(cluster)
-    dump_cluster(cluster, run.path("cluster.json"))
-    save_basis(run.path("basis.bin"), basis)
-    save_covers(run.path("covers.bin"), covers)
-    stats = {"n_atoms": cluster.n_atoms, "n_cells": cluster.n_cells,
-             "constraint_radius": r_c, "basis_dim": basis.dim,
-             "n_covers": covers.count}
-    with open(run.path("stats.json"), "w") as fh:
-        json.dump(stats, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return ["cluster.json", "basis.bin", "covers.bin", "stats.json"]
+    write_json(run.path("cluster.json"), {
+        "schema_version": CLUSTER_SCHEMA_VERSION,
+        "n1": cluster.n1, "n2": cluster.n2, "shear": cluster.shear,
+        "atoms": cluster.atoms.tolist(),
+        "lattice_vectors": cluster.lattice_vectors.tolist(),
+        "vertex_incidence": {str(k): list(v) for k, v
+                             in cluster.vertex_incidence.items()},
+        "triangle_incidence": {str(k): list(v) for k, v
+                               in cluster.triangle_incidence.items()},
+    })
+    np.save(run.path("basis.npy"), basis.configs)
+    np.save(run.path("covers.npy"), covers.covers)
+    write_json(run.path("stats.json"), {
+        "n_atoms": cluster.n_atoms, "n_cells": cluster.n_cells,
+        "constraint_radius": r_c, "basis_dim": basis.dim,
+        "n_covers": covers.count})
+    return ["cluster.json", "basis.npy", "covers.npy", "stats.json"]
 
 
 def cmd_gs_scan(cfg, run):
@@ -251,7 +283,11 @@ def cmd_gs_scan(cfg, run):
     scan = fidelity_susceptibility_scan(
         op, lambdas, dlambda=cfg.get("dlambda", 0.0025), rvb=rvb,
         tol=cfg.get("tol", 1e-10))
-    scan_to_csv(scan, run.path("gs_scan.csv"))
+    write_csv(run.path("gs_scan.csv"),
+              ["lambda", "energy", "gap", "rvb_overlap",
+               "fidelity_susceptibility"],
+              zip(scan.lambdas, scan.energies, scan.gaps, scan.rvb_overlaps,
+                  scan.susceptibilities))
     return ["gs_scan.csv"]
 
 
@@ -267,11 +303,9 @@ def cmd_sweep(cfg, run):
         _, basis, covers, op = _operator(sub)
         rvb = rvb_state(covers, basis)
         for delta1 in delta1s:
+            scfg = sub if delta1 is None else dict(sub, delta1=float(delta1))
             for total in times:
-                scfg = dict(sub, total_time=float(total))
-                if delta1 is not None:
-                    scfg["delta1"] = float(delta1)
-                schedule = _make_schedule(scfg)
+                schedule = _make_schedule(scfg, float(total))
                 traj = evolve_sweep(
                     op, schedule, rvb=rvb,
                     dt_max=cfg.get("dt_max", 0.5),
@@ -285,14 +319,23 @@ def cmd_sweep(cfg, run):
                              total, total / n_atoms, final_ov, abs_ov,
                              traj.n_steps))
                 if cfg.get("write_trajectories", False):
-                    name = "trajectory_n%d_T%g.csv" % (n_atoms, total)
-                    trajectory_to_csv(traj, run.path(name))
+                    name = ("trajectory_n%d_T%g.csv" % (n_atoms, total)
+                            if delta1 is None else
+                            "trajectory_n%d_delta1_%g_T%g.csv"
+                            % (n_atoms, delta1, total))
+                    n_sect = traj.sector_weights.shape[1]
+                    write_csv(run.path(name),
+                              ["t", "Omega", "Delta", "norm",
+                               "rvb_overlap_abs", "density"]
+                              + ["w%d" % k for k in range(n_sect)],
+                              np.column_stack([
+                                  traj.times, traj.omegas, traj.deltas,
+                                  traj.norms, traj.rvb_overlap, traj.density,
+                                  traj.sector_weights]))
                     outputs.append(name)
-    with open(run.path("sweep.csv"), "w") as fh:
-        fh.write("n_atoms,delta1,total_time,t_over_n,"
-                 "final_overlap,abs_overlap,n_steps\n")
-        for r in rows:
-            fh.write(",".join("%.17g" % x for x in r) + "\n")
+    write_csv(run.path("sweep.csv"),
+              ["n_atoms", "delta1", "total_time", "t_over_n",
+               "final_overlap", "abs_overlap", "n_steps"], rows)
     outputs.append("sweep.csv")
     return outputs
 
@@ -310,7 +353,7 @@ def cmd_fit(cfg, run):
             v0 = gs.state.amplitudes
             snapshots.append((float(r), gs.state))
     elif source == "sweep":
-        schedule = _make_schedule(cfg)
+        schedule = _make_schedule(cfg, _need(cfg, "total_time", (int, float)))
         checks = [schedule.time_at_detuning_ratio(float(r)) for r in ratios]
         traj = evolve_sweep(op, schedule, dt_max=cfg.get("dt_max", 0.5),
                             local_tol=cfg.get("local_tol", 1e-9),
@@ -321,7 +364,19 @@ def cmd_fit(cfg, run):
         raise ConfigError("source must be groundstate or sweep")
     results = fit_trajectory(snapshots, covers, basis,
                              max_evals=cfg.get("max_evals", 2000))
-    fits_to_csv(results, run.path("fits.csv"))
+    rows = []
+    for label, fit in results:
+        if fit is None:
+            rows.append((label, np.nan, np.nan, np.nan, np.nan, np.nan, 0))
+            continue
+        p = fit.params
+        rows.append((label, fit.overlap,
+                     np.inf if p.vacuum_limit else p.z1.real,
+                     0.0 if p.vacuum_limit else p.z1.imag,
+                     p.z2.real, p.z2.imag, fit.converged))
+    write_csv(run.path("fits.csv"),
+              ["delta_over_omega", "overlap", "re_z1", "im_z1", "re_z2",
+               "im_z2", "converged"], rows)
     return ["fits.csv"]
 
 
@@ -354,7 +409,9 @@ def cmd_tn_grid(cfg, run):
         for rec, g in zip(row, grad):
             rec["dn_dz1"] = float(g)
         records.extend(row)
-    tnet.grid_to_csv(records, run.path("grid.csv"))
+    cols = ["z1", "z2", "density", "dn_dz1", "xi", "bffm_z_l18", "bffm_x_l18"]
+    write_csv(run.path("grid.csv"), cols,
+              [[rec[c] for c in cols] for rec in records])
     return ["grid.csv"]
 
 
@@ -372,11 +429,8 @@ def cmd_bffm_scaling(cfg, run):
             bz = tnet.bffm(tm, loop, b, x_type=False, tol=tol)
             bx = tnet.bffm(tm, loop, b, x_type=True, tol=tol)
             rows.append((z1, z2, loop.perimeter, spec["shape"], bz, bx))
-    with open(run.path("bffm_scaling.csv"), "w") as fh:
-        fh.write("z1,z2,perimeter,shape,bffm_z,bffm_x\n")
-        for z1, zz2, p, shape, bz, bx in rows:
-            fh.write("%.17g,%.17g,%d,%s,%.17g,%.17g\n"
-                     % (z1, zz2, p, shape, bz, bx))
+    write_csv(run.path("bffm_scaling.csv"),
+              ["z1", "z2", "perimeter", "shape", "bffm_z", "bffm_x"], rows)
     return ["bffm_scaling.csv"]
 
 
@@ -388,7 +442,7 @@ def cmd_tee(cfg, run):
     if cfg.get("source", "ansatz") == "ansatz":
         basis = enumerate_basis(constraint_graph(cluster, 2.0))
         builder = AnsatzBuilder(covers, basis)
-        labeled = []
+        rows = []
         gammas = []
         for pt in _need(cfg, "points", list):
             label = _need(pt, "label", str, "points[]")
@@ -397,33 +451,29 @@ def cmd_tee(cfg, run):
             else:
                 psi = builder.build(pt.get("z1", 0.0), pt.get("z2", 0.0))
             rep = entangle.topological_entropy_report(psi, regions)
-            labeled.append((label, rep))
+            rows.append((label, rep.n_atoms, rep.entropy, rep.schmidt[:8]))
             gammas.append({"label": label, "gamma": rep.gamma,
                            "components": rep.components})
-        entangle.reports_to_csv(labeled, run.path("entropies.csv"))
-        with open(run.path("gamma.json"), "w") as fh:
-            json.dump({"n_atoms": n_atoms, "points": gammas}, fh,
-                      indent=2, sort_keys=True)
-            fh.write("\n")
+        write_csv(run.path("entropies.csv"),
+                  ["region_label", "n_atoms", "entropy", "top8_schmidt"], rows)
+        write_json(run.path("gamma.json"),
+                   {"n_atoms": n_atoms, "points": gammas})
         return ["entropies.csv", "gamma.json"]
     else:                       # gamma along a sweep, raw and abs states
         _, basis, covers, op = _operator(cfg, cluster)
-        schedule = _make_schedule(cfg)
+        schedule = _make_schedule(cfg, _need(cfg, "total_time", (int, float)))
         checks = list(_grid(cfg, "checkpoint_times"))
         rvb = rvb_state(covers, basis)
         traj = evolve_sweep(op, schedule, rvb=rvb,
                             dt_max=cfg.get("dt_max", 0.5),
                             local_tol=cfg.get("local_tol", 1e-9),
                             checkpoints=checks)
-        with open(run.path("gamma_sweep.csv"), "w") as fh:
-            fh.write("t,gamma_raw,gamma_abs\n")
-            for t in checks:
-                psi = traj.snapshots[t]
-                g_raw = entangle.topological_entropy_report(
-                    psi, regions).gamma
-                g_abs = entangle.topological_entropy_report(
-                    abs_state(psi), regions).gamma
-                fh.write("%.17g,%.17g,%.17g\n" % (t, g_raw, g_abs))
+        def gamma(psi):
+            return entangle.topological_entropy_report(psi, regions).gamma
+
+        write_csv(run.path("gamma_sweep.csv"), ["t", "gamma_raw", "gamma_abs"],
+                  [(t, gamma(traj.snapshots[t]),
+                    gamma(abs_state(traj.snapshots[t]))) for t in checks])
         return ["gamma_sweep.csv"]
 
 
@@ -495,11 +545,9 @@ def cmd_verify(cfg, run):
     golden_dir = _need(cfg, "golden_dir", str)
     out_dir = cfg.get("compare_dir", run.dir)
     report = verify_goldens(out_dir, golden_dir, cfg.get("tolerances"))
-    with open(run.path("verify_report.json"), "w") as fh:
-        json.dump({"passed": report["passed"],
-                   "failed": [list(f) for f in report["failed"]]},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(run.path("verify_report.json"),
+               {"passed": report["passed"],
+                "failed": [list(f) for f in report["failed"]]})
     for name in report["passed"]:
         print("PASS %s" % name)
     for name, why in report["failed"]:

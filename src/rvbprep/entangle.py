@@ -99,13 +99,3 @@ def topological_entropy_report(psi, regions):
     out.gamma = gamma
     out.components = s
     return out
-
-
-def reports_to_csv(labeled_reports, path):
-    """Write (label, EntropyReport) pairs as an entropy table."""
-    with open(path, "w") as fh:
-        fh.write("region_label,n_atoms,entropy,top8_schmidt\n")
-        for label, rep in labeled_reports:
-            tops = ";".join("%.17g" % s for s in rep.schmidt[:8])
-            fh.write("%s,%d,%.17g,%s\n"
-                     % (label, rep.n_atoms, rep.entropy, tops))

@@ -256,16 +256,3 @@ def integrator_crosscheck(op, schedule, psi0=None, dt_rk=1e-3, dt_max=0.5,
         "rk4_steps": int(np.ceil(schedule.total_time / dt_rk)),
         "norm_drift": traj.norm_drift,
     }
-
-
-def trajectory_to_csv(traj, path):
-    n_sect = traj.sector_weights.shape[1]
-    header = ["t", "Omega", "Delta", "norm", "rvb_overlap_abs", "density"]
-    header += ["w%d" % k for k in range(n_sect)]
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(len(traj.times)):
-            row = [traj.times[i], traj.omegas[i], traj.deltas[i], traj.norms[i],
-                   traj.rvb_overlap[i], traj.density[i]]
-            row += list(traj.sector_weights[i])
-            fh.write(",".join("%.17g" % x for x in row) + "\n")

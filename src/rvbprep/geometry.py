@@ -11,7 +11,6 @@ indices and on-disk artifacts deterministic.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -37,8 +36,6 @@ SUBLATTICE = np.array(
 )
 
 DIST_TOL = 1e-9
-
-SCHEMA_VERSION = 1
 
 # Named presets used throughout: N = 6 * n1 * n2 atoms.
 PRESETS = {6: (1, 1, 0), 12: (2, 1, 0), 24: (2, 2, 0), 36: (2, 3, 0), 48: (2, 4, 0)}
@@ -144,7 +141,6 @@ class LoopPath:
     """
 
     kind: str                     # "diagonal" | "off-diagonal"
-    shape: str                    # "hexagon" | "parallelogram"
     triangles: list               # closed sequence of triangle addresses
     atoms: list                   # one atom address per triangle, same order
     perimeter: int
@@ -334,7 +330,7 @@ def _boundary_loop(plaquettes):
     return cycle
 
 
-def _loop_from_triangles(kind, shape, plaquettes):
+def _loop_from_triangles(kind, plaquettes):
     cycle = _boundary_loop(plaquettes)
     enclosed = _enclosed_vertices(plaquettes)
     ell = len(cycle)
@@ -355,7 +351,7 @@ def _loop_from_triangles(kind, shape, plaquettes):
             triangle_atom(t_cur, tv[a], tv[b])
             for a, b in ((0, 1), (0, 2), (1, 2))
             if (tv[a] in enclosed) != (tv[b] in enclosed)))
-    return LoopPath(kind=kind, shape=shape, triangles=list(cycle),
+    return LoopPath(kind=kind, triangles=list(cycle),
                     atoms=atoms, perimeter=ell, enclosed=enclosed,
                     crossing=crossing)
 
@@ -367,7 +363,7 @@ def hexagon_loop(kind, radius):
         for dm in range(-radius + 1, radius):
             if abs(dn + dm) <= radius - 1:
                 plaqs.append((dn, dm))
-    return _loop_from_triangles(kind, "hexagon", plaqs)
+    return _loop_from_triangles(kind, plaqs)
 
 
 def parallelogram_loop(kind, w, h):
@@ -377,7 +373,7 @@ def parallelogram_loop(kind, w, h):
     cylinder's transfer direction); h along the first (the circumference).
     """
     plaqs = [(j, i) for i in range(w) for j in range(h)]
-    return _loop_from_triangles(kind, "parallelogram", plaqs)
+    return _loop_from_triangles(kind, plaqs)
 
 
 def loop_block_span(loop):
@@ -425,31 +421,3 @@ def tee_cluster(n_atoms):
     if n_atoms not in shapes:
         raise GeometryError("no tripartition cluster with %d atoms" % n_atoms)
     return build_cluster(*shapes[n_atoms])
-
-
-# --- serialization -------------------------------------------------------
-
-def dump_cluster(cluster, path):
-    data = {
-        "schema_version": SCHEMA_VERSION,
-        "n1": cluster.n1,
-        "n2": cluster.n2,
-        "shear": cluster.shear,
-        "atoms": cluster.atoms.tolist(),
-        "lattice_vectors": cluster.lattice_vectors.tolist(),
-        "vertex_incidence": {str(k): list(v) for k, v in cluster.vertex_incidence.items()},
-        "triangle_incidence": {str(k): list(v) for k, v in cluster.triangle_incidence.items()},
-    }
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=1)
-
-
-def load_cluster(path):
-    with open(path) as fh:
-        data = json.load(fh)
-    if data.get("schema_version") != SCHEMA_VERSION:
-        raise GeometryError("unsupported cluster schema version")
-    cluster = build_cluster(data["n1"], data["n2"], data["shear"])
-    if not np.allclose(cluster.atoms, np.array(data["atoms"])):
-        raise GeometryError("cluster file inconsistent with its parameters")
-    return cluster

@@ -7,13 +7,9 @@ exported artifacts are stable.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-
-MAGIC = b"RVBB"
-BINARY_VERSION = 1
 
 BASIS_BUDGET_GIB = 8.0
 
@@ -223,44 +219,3 @@ def abs_state(psi):
     """Replace amplitudes by their moduli (defensively renormalized)."""
     amps = np.abs(psi.amplitudes).astype(np.complex128)
     return StateVector(psi.basis, amps / np.linalg.norm(amps))
-
-
-# --- binary export -------------------------------------------------------
-
-def save_words(path, n_atoms, words):
-    words = np.ascontiguousarray(words, dtype="<u8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", BINARY_VERSION, n_atoms))
-        fh.write(struct.pack("<Q", len(words)))
-        fh.write(words.tobytes())
-
-
-def load_words(path):
-    with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
-            raise BasisError("not a basis/cover file")
-        version, n_atoms = struct.unpack("<II", fh.read(8))
-        if version != BINARY_VERSION:
-            raise BasisError("unsupported binary version %d" % version)
-        (count,) = struct.unpack("<Q", fh.read(8))
-        words = np.frombuffer(fh.read(count * 8), dtype="<u8")
-    return n_atoms, words.astype(np.uint64)
-
-
-def save_basis(path, basis):
-    save_words(path, basis.n_atoms, basis.configs)
-
-
-def load_basis(path, radius=0.0):
-    n_atoms, words = load_words(path)
-    return ConstrainedBasis(n_atoms=n_atoms, configs=words, radius=radius)
-
-
-def save_covers(path, covers):
-    save_words(path, covers.n_atoms, covers.covers)
-
-
-def load_covers(path):
-    n_atoms, words = load_words(path)
-    return DimerCoverSet(n_atoms=n_atoms, covers=words)

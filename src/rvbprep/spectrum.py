@@ -138,15 +138,6 @@ def fidelity_susceptibility_scan(op, lambdas, dlambda=0.0025, rvb=None,
     return GroundstateScan(lambdas, energies, gaps, overlaps, sus, degen)
 
 
-def scan_to_csv(scan, path):
-    with open(path, "w") as fh:
-        fh.write("lambda,energy,gap,rvb_overlap,fidelity_susceptibility\n")
-        for i in range(len(scan.lambdas)):
-            fh.write(",".join("%.17g" % x for x in (
-                scan.lambdas[i], scan.energies[i], scan.gaps[i],
-                scan.rvb_overlaps[i], scan.susceptibilities[i])) + "\n")
-
-
 def interior_peaks(values):
     """Indices of strict interior local maxima of a 1-D array (NaN-safe)."""
     v = np.asarray(values, dtype=float)

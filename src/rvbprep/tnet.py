@@ -738,11 +738,3 @@ def phase_diagram_point(z1, z2, L, projected=True, loop_z=None, loop_x=None,
     rec["bffm_x_l18"] = (bffm(tm, loop_x, b, x_type=True, tol=tol)
                         if loop_x is not None and projected else np.nan)
     return rec, {"right": b.right, "left": b.left}
-
-
-def grid_to_csv(records, path):
-    cols = ["z1", "z2", "density", "dn_dz1", "xi", "bffm_z_l18", "bffm_x_l18"]
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for rec in records:
-            fh.write(",".join("%.17g" % rec[c] for c in cols) + "\n")

@@ -2,13 +2,24 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from rvbprep import cli, tnet
+from rvbprep.evolve import evolve_sweep
+from rvbprep.geometry import build_cluster
+from rvbprep.model import HamiltonianOperator, HamiltonianSpec, SweepSchedule
+from rvbprep.spectrum import fidelity_susceptibility_scan
 
-from conftest import read_csv
+from conftest import golden_path, read_csv
+
+
+@pytest.fixture(scope="module")
+def op12(basis12):
+    return HamiltonianOperator(HamiltonianSpec(), basis12)
 
 
 def write_config(tmp_path, name, cfg):
@@ -30,7 +41,7 @@ def test_cluster_verb_artifacts(tmp_path):
     cfg = write_config(tmp_path, "c.json", {"cells": [2, 1]})
     out = str(tmp_path / "out")
     assert run_cli(["cluster", "--config", cfg, "--out", out]) == 0
-    for name in ("cluster.json", "basis.bin", "covers.bin", "stats.json",
+    for name in ("cluster.json", "basis.npy", "covers.npy", "stats.json",
                  "manifest.json"):
         assert os.path.exists(os.path.join(out, name))
     stats = json.loads(open(os.path.join(out, "stats.json")).read())
@@ -41,6 +52,38 @@ def test_cluster_verb_artifacts(tmp_path):
     assert manifest["config"]["cells"] == [2, 1]
     for name, digest in manifest["outputs"].items():
         assert sha256(os.path.join(out, name)) == digest
+
+
+def test_cluster_files_roundtrip(tmp_path, cluster24, basis24, covers24):
+    cfg = write_config(tmp_path, "c.json", {"cells": [2, 2]})
+    out = tmp_path / "out"
+    assert run_cli(["cluster", "--config", cfg, "--out", str(out)]) == 0
+    basis = np.load(out / "basis.npy")
+    covers = np.load(out / "covers.npy")
+    assert basis.dtype == covers.dtype == np.uint64
+    assert np.array_equal(basis, basis24.configs)
+    assert np.array_equal(covers, covers24.covers)
+    data = json.loads((out / "cluster.json").read_text())
+    assert data["schema_version"] == cli.CLUSTER_SCHEMA_VERSION
+    back = build_cluster(data["n1"], data["n2"], data["shear"])
+    assert np.array_equal(np.array(data["atoms"]), cluster24.atoms)
+    assert np.allclose(back.atoms, cluster24.atoms)
+    assert np.allclose(data["lattice_vectors"], cluster24.lattice_vectors)
+    for key in ("vertex_incidence", "triangle_incidence"):
+        assert ({int(k): tuple(v) for k, v in data[key].items()}
+                == getattr(cluster24, key))
+
+
+def test_write_csv_cells(tmp_path):
+    path = tmp_path / "t.csv"
+    cli.write_csv(str(path), ["s", "i", "b", "n", "f", "l"],
+                  [("rvb", 12, True, np.nan, np.inf, [0.25, 0.1]),
+                   ("vac", np.int64(-3), False, -np.inf, 0.1,
+                    np.array([1.0]))])
+    assert path.read_text() == (
+        "s,i,b,n,f,l\n"
+        "rvb,12,1,nan,inf,0.25;0.10000000000000001\n"
+        "vac,-3,0,-inf,0.10000000000000001,1\n")
 
 
 def test_reruns_are_byte_identical(tmp_path):
@@ -61,6 +104,64 @@ def test_reruns_are_byte_identical(tmp_path):
         assert np.allclose(cols["lambda"], [0.6, 0.9, 1.2])
 
 
+def test_gs_scan_csv(tmp_path, op12, rvb12):
+    lambdas = [0.6, 0.7, 0.8]
+    cfg = write_config(tmp_path, "c.json", {"n_atoms": 12,
+                                            "lambda": lambdas})
+    out = str(tmp_path / "out")
+    assert run_cli(["gs-scan", "--config", cfg, "--out", out]) == 0
+    lines = open(os.path.join(out, "gs_scan.csv")).read().split("\n")
+    assert lines[0] == "lambda,energy,gap,rvb_overlap,fidelity_susceptibility"
+    assert len(lines) == 5 and lines[-1] == ""
+    scan = fidelity_susceptibility_scan(op12, np.array(lambdas), rvb=rvb12)
+    for i, line in enumerate(lines[1:-1]):
+        # 17 significant digits read back to the same doubles
+        assert [float(x) for x in line.split(",")] == [
+            scan.lambdas[i], scan.energies[i], scan.gaps[i],
+            scan.rvb_overlaps[i], scan.susceptibilities[i]]
+
+
+def test_trajectory_csv(tmp_path, op12, rvb12):
+    cfg = write_config(tmp_path, "c.json", {
+        "n_atoms": 12, "sweep_times": [2.0], "n_samples": 6,
+        "write_trajectories": True})
+    out = str(tmp_path / "out")
+    assert run_cli(["sweep", "--config", cfg, "--out", out]) == 0
+    # without a delta1 grid the name carries only N and T
+    path = os.path.join(out, "trajectory_n12_T2.csv")
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        rows = np.array([[float(x) for x in line.split(",")]
+                         for line in fh])
+    assert header == ["t", "Omega", "Delta", "norm", "rvb_overlap_abs",
+                      "density"] + ["w%d" % k for k in range(13)]
+    traj = evolve_sweep(op12, SweepSchedule.default_protocol(2.0),
+                        rvb=rvb12, n_samples=6)
+    assert rows.shape == (6, 6 + 13)
+    assert np.array_equal(rows[:, 0], traj.times)
+    assert np.array_equal(rows[:, 4], traj.rvb_overlap)
+    assert np.array_equal(rows[:, 5], traj.density)
+    assert np.array_equal(rows[:, 6:], traj.sector_weights)
+
+
+def test_sweep_delta1_grid_keeps_every_trajectory(tmp_path):
+    cfg = write_config(tmp_path, "c.json", {
+        "sizes": [12], "sweep_times": [2.0, 3.0],
+        "delta1_grid": [1.4, 1.6], "n_samples": 5,
+        "write_trajectories": True})
+    out = str(tmp_path / "out")
+    assert run_cli(["sweep", "--config", cfg, "--out", out]) == 0
+    names = ["trajectory_n12_delta1_%g_T%g.csv" % (d, t)
+             for d in (1.4, 1.6) for t in (2.0, 3.0)]
+    manifest = json.loads(open(os.path.join(out, "manifest.json")).read())
+    assert sorted(manifest["outputs"]) == sorted(names + ["sweep.csv"])
+    for t in (2.0, 3.0):
+        lo, hi = (read_csv(os.path.join(out, "trajectory_n12_delta1_%g_T%g.csv"
+                                        % (d, t))) for d in (1.4, 1.6))
+        assert lo["Delta"][-1] == pytest.approx(1.4)
+        assert hi["Delta"][-1] == pytest.approx(1.6)
+
+
 def test_sweep_verb(tmp_path):
     cfg = write_config(tmp_path, "c.json", {
         "n_atoms": 12, "sweep_times": [3.0], "n_samples": 10})
@@ -79,8 +180,11 @@ def test_fit_verb(tmp_path):
     out = str(tmp_path / "out")
     assert run_cli(["fit", "--config", cfg, "--out", out]) == 0
     cols = read_csv(os.path.join(out, "fits.csv"))
+    assert list(cols) == ["delta_over_omega", "overlap", "re_z1", "im_z1",
+                          "re_z2", "im_z2", "converged"]
     assert np.allclose(cols["delta_over_omega"], [0.8, 1.2])
     assert np.all(cols["overlap"] > 0.9)
+    assert list(cols["converged"]) == [1.0, 1.0]
 
 
 def test_tn_grid_modes_agree(tmp_path):
@@ -92,6 +196,9 @@ def test_tn_grid_modes_agree(tmp_path):
     out = str(tmp_path / "out")
     assert run_cli(["tn-grid", "--config", cfg, "--out", out]) == 0
     got = read_csv(os.path.join(out, "grid.csv"))
+    assert list(got) == ["z1", "z2", "density", "dn_dz1", "xi",
+                         "bffm_z_l18", "bffm_x_l18"]
+    assert np.array_equal(got["z1"], z1s)
     local = [tnet.phase_diagram_point(z1, 0.3, 2, fd_step=1e-3,
                                       compute_xi=False)[0] for z1 in z1s]
     assert np.allclose(got["density"], [r["density"] for r in local],
@@ -138,7 +245,7 @@ def test_verify_pass_perturb_missing(tmp_path):
 
 def test_config_errors_exit_2(tmp_path):
     bad = write_config(tmp_path, "bad.json", {
-        "n_atoms": 12, "sweep_times": [3.0], "total_time": 3.0,
+        "n_atoms": 12, "sweep_times": [3.0],
         "stage_times": [1.0, 1.0, 2.0]})
     out = str(tmp_path / "out")
     assert run_cli(["sweep", "--config", bad, "--out", out]) == 2
@@ -156,6 +263,15 @@ def test_config_errors_exit_2(tmp_path):
     missing = write_config(tmp_path, "m.json", {"n_atoms": 12})
     assert run_cli(["gs-scan", "--config", missing,
                     "--out", str(tmp_path / "o3")]) == 2
+
+
+def test_sweep_rejects_total_time(tmp_path):
+    # each sweep lasts one of its sweep_times, so total_time is not read
+    cfg = write_config(tmp_path, "c.json", {
+        "n_atoms": 12, "sweep_times": [3.0], "total_time": 999})
+    out = str(tmp_path / "out")
+    assert run_cli(["sweep", "--config", cfg, "--out", out]) == 2
+    assert not os.path.exists(out)
 
 
 def test_unknown_config_keys_exit_2(tmp_path):
@@ -253,3 +369,20 @@ def test_verify_compares_number_lists_and_non_finite_cells(tmp_path):
                        ("rvb,3.0,0.25;0.125", "vac,nan,0.5"),
                        ("rvb,inf,0.25;0.125", "liq,nan,0.5")):
         assert report(row1, row2)["failed"], (row1, row2)
+
+
+def test_tee_rerun_matches_golden(tmp_path):
+    # the golden was written at one BLAS thread, and a multithreaded BLAS
+    # sums the Gram matrices in another order; so the rerun gets a process
+    # whose BLAS starts with one thread
+    out = tmp_path / "out"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-m", "rvbprep.cli", "tee",
+                    "--experiment", "fig3c_tee", "--out", str(out)],
+                   env=env, check=True, capture_output=True)
+    for name in ("entropies.csv", "gamma.json"):
+        with open(golden_path("fig3c_tee", name), "rb") as fh:
+            assert (out / name).read_bytes() == fh.read(), name

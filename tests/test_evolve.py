@@ -4,7 +4,7 @@ import scipy.linalg
 
 from rvbprep.evolve import (EvolveError, cf4_step, evolve_sweep,
                             integrator_crosscheck, lanczos_expm_step, overlap,
-                            rk4_evolve, trajectory_to_csv)
+                            rk4_evolve)
 from rvbprep.geometry import build_cluster, constraint_graph
 from rvbprep.hilbert import StateVector, enumerate_basis, rvb_state
 from rvbprep.model import HamiltonianOperator, HamiltonianSpec, SweepSchedule
@@ -142,22 +142,6 @@ def test_evolve_records_observables(op12, basis12, covers12):
     assert traj.density[-1] == pytest.approx(np.mean(per_atom), abs=1e-14)
     assert set(traj.snapshots) == {3.0}
     assert abs(traj.snapshots[3.0].norm - 1.0) < 1e-10
-
-
-def test_trajectory_csv_roundtrip(tmp_path, op12, basis12):
-    s = SweepSchedule.default_protocol(2.0)
-    traj = evolve_sweep(op12, s, n_samples=6)
-    path = tmp_path / "traj.csv"
-    trajectory_to_csv(traj, str(path))
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = np.array([[float(x) for x in line.split(",")]
-                         for line in fh])
-    assert header[:6] == ["t", "Omega", "Delta", "norm",
-                          "rvb_overlap_abs", "density"]
-    assert rows.shape == (6, 6 + basis12.n_atoms + 1)
-    assert np.allclose(rows[:, 0], traj.times)
-    assert np.allclose(rows[:, 5], traj.density)
 
 
 def test_overlap_rejects_mismatched_bases(basis12):

@@ -1,12 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 
 from rvbprep.geometry import (GeometryError, build_cluster, cluster_preset,
-                              constraint_graph, dump_cluster, hexagon_loop,
-                              kitaev_preskill_regions,
-                              load_cluster, loop_block_span,
+                              constraint_graph, hexagon_loop,
+                              kitaev_preskill_regions, loop_block_span,
                               parallelogram_loop, tee_cluster,
                               triangle_vertices)
 
@@ -75,18 +72,6 @@ def test_shear_wraps_consistently():
     assert cl.n_atoms == 36
     perm = cl.translate_atoms(0, cl.n2)   # wraps through the shear
     assert sorted(perm) == list(range(36))
-
-
-def test_cluster_roundtrip(tmp_path):
-    cl = build_cluster(2, 2)
-    path = tmp_path / "cluster.json"
-    dump_cluster(cl, str(path))
-    back = load_cluster(str(path))
-    assert back.n1 == cl.n1 and back.n2 == cl.n2 and back.shear == cl.shear
-    assert np.allclose(back.atoms, cl.atoms)
-    assert back.vertex_incidence == cl.vertex_incidence
-    data = json.loads(path.read_text())
-    assert len(data["atoms"]) == 24
 
 
 def test_hexagon_loop_shape():

@@ -3,9 +3,8 @@ import pytest
 
 from rvbprep.geometry import build_cluster, constraint_graph
 from rvbprep.hilbert import (BasisError, abs_state, enumerate_basis,
-                             enumerate_maximal_covers, full_basis, load_basis,
-                             load_covers, project_to_subspace, rvb_state,
-                             save_basis, save_covers, StateVector)
+                             enumerate_maximal_covers, full_basis,
+                             project_to_subspace, rvb_state, StateVector)
 
 
 def brute_force_basis(graph):
@@ -132,19 +131,6 @@ def test_abs_state(basis12):
     assert abs(a.norm - 1.0) < 1e-12
     assert np.all(a.amplitudes.real >= 0)
     assert np.allclose(a.amplitudes.imag, 0)
-
-
-def test_binary_roundtrip(tmp_path, basis12, covers12):
-    bpath, cpath = str(tmp_path / "b.bin"), str(tmp_path / "c.bin")
-    save_basis(bpath, basis12)
-    save_covers(cpath, covers12)
-    back = load_basis(bpath, radius=2.0)
-    assert back.n_atoms == basis12.n_atoms
-    assert np.array_equal(back.configs, basis12.configs)
-    cback = load_covers(cpath)
-    assert np.array_equal(cback.covers, covers12.covers)
-    with pytest.raises(BasisError):
-        load_basis(__file__)              # not a basis file
 
 
 def test_full_basis():

@@ -4,7 +4,7 @@ import pytest
 from rvbprep.hilbert import rvb_state
 from rvbprep.model import HamiltonianOperator, HamiltonianSpec
 from rvbprep.spectrum import (SpectrumError, fidelity_susceptibility_scan,
-                              groundstate, interior_peaks, scan_to_csv)
+                              groundstate, interior_peaks)
 
 
 @pytest.fixture(scope="module")
@@ -103,18 +103,6 @@ def test_scan_input_validation(op12):
         fidelity_susceptibility_scan(op12, [1.0, 0.9])
     with pytest.raises(SpectrumError):
         fidelity_susceptibility_scan(op12, [0.5, 1.0], dlambda=0.0)
-
-
-def test_scan_csv(tmp_path, op12):
-    scan = fidelity_susceptibility_scan(op12, np.linspace(0.6, 0.8, 3))
-    path = tmp_path / "scan.csv"
-    scan_to_csv(scan, str(path))
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "lambda,energy,gap,rvb_overlap,fidelity_susceptibility"
-    assert len(lines) == 4
-    first = [float(x) for x in lines[1].split(",")]
-    assert first[0] == pytest.approx(0.6)
-    assert first[1] == pytest.approx(scan.energies[0], rel=1e-15)
 
 
 def test_interior_peaks_synthetic():

@@ -8,7 +8,7 @@ from rvbprep.hilbert import cover_bitsets, full_basis
 from rvbprep.tnet import (RowMods, RowOperator, TnetError, bffm,
                           correlation_length, cylinder_transfer, density,
                           dominant_eigenpair,
-                          double_triangle_tensor, grid_to_csv, mean_density,
+                          double_triangle_tensor, mean_density,
                           parity_signs, phase_diagram_point,
                           single_triangle_tensor, string_expectation,
                           torus_amplitudes, _row_chains)
@@ -207,7 +207,7 @@ def test_string_expectations_and_bffm():
         string_expectation(tmu, loop, x_type=True)
 
 
-def test_phase_diagram_point_record(tmp_path):
+def test_phase_diagram_point_record():
     rec, warm = phase_diagram_point(0.3, 0.3, 2, compute_xi=True)
     assert set(rec) == {"z1", "z2", "density", "dn_dz1", "xi",
                         "bffm_z_l18", "bffm_x_l18"}
@@ -218,11 +218,6 @@ def test_phase_diagram_point_record(tmp_path):
     # warm-started repeat reproduces the same numbers
     rec2, _ = phase_diagram_point(0.3, 0.3, 2, warm=warm)
     assert rec2["density"] == pytest.approx(rec["density"], abs=1e-9)
-    path = tmp_path / "grid.csv"
-    grid_to_csv([rec, rec2], str(path))
-    lines = path.read_text().strip().split("\n")
-    assert lines[0].startswith("z1,z2,density,dn_dz1,xi")
-    assert len(lines) == 3
 
 
 @pytest.mark.parametrize("projected,L,z1,z2", [
