@@ -54,16 +54,25 @@ def test_cluster_verb_artifacts(tmp_path):
         assert sha256(os.path.join(out, name)) == digest
 
 
-def test_cluster_files_roundtrip(tmp_path, cluster24, basis24, covers24):
-    cfg = write_config(tmp_path, "c.json", {"cells": [2, 2]})
-    out = tmp_path / "out"
+@pytest.fixture(scope="module")
+def cluster24_out(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("cluster24")
+    cfg = write_config(tmp, "c.json", {"cells": [2, 2]})
+    out = tmp / "out"
     assert run_cli(["cluster", "--config", cfg, "--out", str(out)]) == 0
-    basis = np.load(out / "basis.npy")
-    covers = np.load(out / "covers.npy")
+    return out
+
+
+def test_cluster_basis_files_roundtrip(cluster24_out, basis24, covers24):
+    basis = np.load(cluster24_out / "basis.npy")
+    covers = np.load(cluster24_out / "covers.npy")
     assert basis.dtype == covers.dtype == np.uint64
     assert np.array_equal(basis, basis24.configs)
     assert np.array_equal(covers, covers24.covers)
-    data = json.loads((out / "cluster.json").read_text())
+
+
+def test_cluster_json_roundtrip(cluster24_out, cluster24):
+    data = json.loads((cluster24_out / "cluster.json").read_text())
     assert data["schema_version"] == cli.CLUSTER_SCHEMA_VERSION
     back = build_cluster(data["n1"], data["n2"], data["shear"])
     assert np.array_equal(np.array(data["atoms"]), cluster24.atoms)
