@@ -3,9 +3,9 @@
 Builds the 12-atom periodic ruby cluster, enumerates the blockade-constrained
 basis and the maximal dimer covers, then drives the vacuum through the default
 three-stage protocol (switch Omega on, sweep Delta from -5 to 1.5, switch
-Omega off) for several total times T.  The final overlap with the RVB state is
-not monotone in T: it rises, peaks at a finite T*, and falls again as the slow
-sweep starts tracking the instantaneous groundstate instead.
+Omega off) for several total times T.  At this size the final overlap with the
+RVB state dips from T = 1 to T = 2 and then rises with T up to the slowest
+sweep of the grid, T = 32 (0.979): the grid shows no interior optimum T*.
 
 Runs in well under a minute.
 """
@@ -34,5 +34,5 @@ for total_time in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0):
 
 print("\nbest overlap %.6f at T = %.1f (T/N = %.3f):"
       % (best[0], best[1], best[1] / cluster.n_atoms))
-print("too fast leaves the state behind, too slow follows the groundstate "
-      "out of the liquid; the sweet spot is in between.")
+print("past T = 2 the overlap rises with T, so the slowest sweep of this "
+      "grid is the best one; no interior optimum T* shows at N = 12.")

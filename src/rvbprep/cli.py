@@ -12,6 +12,7 @@ This is the only module that writes files: every CSV goes through
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import os
@@ -19,6 +20,7 @@ import sys
 import time
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .geometry import (build_cluster, cluster_preset, constraint_graph,
@@ -79,19 +81,17 @@ def load_config(path):
 
 # the keys each verb reads, and the keys read inside the objects (or lists
 # of objects) that some keys hold; a run stops at any other key
-SWEEP_KEYS = {"protocol", "delta0", "delta1", "stage_times",
-              "dt_max", "local_tol"}
+SWEEP_KEYS = {"protocol", "delta0", "delta1", "stage_times"}
 MODEL_KEYS = {"n_atoms", "cells", "model"}
 VERB_KEYS = {
     "cluster": {"n_atoms", "cells", "constraint_radius"},
-    "gs-scan": MODEL_KEYS | {"lambda", "dlambda", "tol"},
+    "gs-scan": MODEL_KEYS | {"lambda"},
     "sweep": MODEL_KEYS | SWEEP_KEYS | {"sizes", "sweep_times", "delta1_grid",
                                         "n_samples", "write_trajectories"},
     "fit": MODEL_KEYS | SWEEP_KEYS | {
-        "total_time", "delta_over_omega", "source", "tol", "max_evals"},
-    "tn-grid": {"circumference", "projected", "compute_xi", "tol", "z1",
-                "z2", "loop_z", "loop_x"},
-    "bffm-scaling": {"circumference", "tol", "loops", "z1", "z2"},
+        "total_time", "delta_over_omega", "source"},
+    "tn-grid": {"circumference", "projected", "z1", "z2", "loop_z", "loop_x"},
+    "bffm-scaling": {"circumference", "loops", "z1", "z2"},
     "tee": SWEEP_KEYS | {"total_time", "n_atoms", "model", "source", "points",
                          "checkpoint_times"},
     "verify": {"golden_dir", "compare_dir", "tolerances"},
@@ -184,6 +184,36 @@ def _digest(path):
     return h.hexdigest()
 
 
+def _openblas_threads():
+    """The OpenBLAS copies loaded in this process, each with the thread count
+    that its own ``get_num_threads`` reports (None when it has none)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.lower() and "/" in line})
+    except OSError:                     # no /proc: not Linux
+        return []
+    found = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        info = {"library": os.path.basename(path), "threads": None}
+        for prefix in ("openblas_", "scipy_openblas_"):
+            for suffix in ("", "64_"):
+                get = getattr(lib, prefix + "get_num_threads" + suffix, None)
+                if get is not None:
+                    get.restype, get.argtypes = ctypes.c_int, []
+                    info["threads"] = get()
+        found.append(info)
+    return found
+
+
+def _environment():
+    """numpy and scipy versions and the OpenBLAS threads in effect: at
+    another BLAS thread count the outputs differ in their last digits."""
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "openblas": _openblas_threads()}
+
+
 class Run:
     """Output directory plus the evolving run manifest."""
 
@@ -195,6 +225,7 @@ class Run:
             "experiment": experiment,
             "config": config,
             "version": __version__,
+            "environment": _environment(),
             "status": "running",
             "outputs": {},
         }
@@ -280,9 +311,7 @@ def cmd_gs_scan(cfg, run):
     cluster, basis, covers, op = _operator(cfg)
     rvb = rvb_state(covers, basis) if covers.count else None
     lambdas = _grid(cfg, "lambda")
-    scan = fidelity_susceptibility_scan(
-        op, lambdas, dlambda=cfg.get("dlambda", 0.0025), rvb=rvb,
-        tol=cfg.get("tol", 1e-10))
+    scan = fidelity_susceptibility_scan(op, lambdas, rvb=rvb)
     write_csv(run.path("gs_scan.csv"),
               ["lambda", "energy", "gap", "rvb_overlap",
                "fidelity_susceptibility"],
@@ -291,11 +320,25 @@ def cmd_gs_scan(cfg, run):
     return ["gs_scan.csv"]
 
 
+def _trajectory_name(n_atoms, delta1, total):
+    if delta1 is None:
+        return "trajectory_n%d_T%g.csv" % (n_atoms, total)
+    return "trajectory_n%d_delta1_%g_T%g.csv" % (n_atoms, delta1, total)
+
+
 def cmd_sweep(cfg, run):
     outputs = []
     sizes = cfg["sizes"] if "sizes" in cfg else [_need(cfg, "n_atoms", int)]
     times = _grid(cfg, "sweep_times")
     delta1s = _grid(cfg, "delta1_grid") if "delta1_grid" in cfg else [None]
+    write_trajectories = cfg.get("write_trajectories", False)
+    if write_trajectories:
+        names = [_trajectory_name(n, d, t)
+                 for n in sizes for d in delta1s for t in times]
+        shared = sorted({n for n in names if names.count(n) > 1})
+        if shared:
+            raise ConfigError("sweeps would overwrite each other's "
+                              "trajectory files: %s" % ", ".join(shared))
     rows = []
     for n_atoms in sizes:
         sub = dict(cfg)
@@ -306,11 +349,8 @@ def cmd_sweep(cfg, run):
             scfg = sub if delta1 is None else dict(sub, delta1=float(delta1))
             for total in times:
                 schedule = _make_schedule(scfg, float(total))
-                traj = evolve_sweep(
-                    op, schedule, rvb=rvb,
-                    dt_max=cfg.get("dt_max", 0.5),
-                    local_tol=cfg.get("local_tol", 1e-9),
-                    n_samples=cfg.get("n_samples", 200))
+                traj = evolve_sweep(op, schedule, rvb=rvb,
+                                    n_samples=cfg.get("n_samples", 200))
                 final_ov = abs(np.vdot(rvb.amplitudes,
                                        traj.final_state.amplitudes))
                 abs_ov = abs(np.vdot(rvb.amplitudes,
@@ -318,11 +358,8 @@ def cmd_sweep(cfg, run):
                 rows.append((n_atoms, np.nan if delta1 is None else delta1,
                              total, total / n_atoms, final_ov, abs_ov,
                              traj.n_steps))
-                if cfg.get("write_trajectories", False):
-                    name = ("trajectory_n%d_T%g.csv" % (n_atoms, total)
-                            if delta1 is None else
-                            "trajectory_n%d_delta1_%g_T%g.csv"
-                            % (n_atoms, delta1, total))
+                if write_trajectories:
+                    name = _trajectory_name(n_atoms, delta1, total)
                     n_sect = traj.sector_weights.shape[1]
                     write_csv(run.path(name),
                               ["t", "Omega", "Delta", "norm",
@@ -348,22 +385,18 @@ def cmd_fit(cfg, run):
     if source == "groundstate":
         v0 = None
         for r in ratios:
-            gs = groundstate(op, 1.0, float(r), tol=cfg.get("tol", 1e-10),
-                             v0=v0)
+            gs = groundstate(op, 1.0, float(r), v0=v0)
             v0 = gs.state.amplitudes
             snapshots.append((float(r), gs.state))
     elif source == "sweep":
         schedule = _make_schedule(cfg, _need(cfg, "total_time", (int, float)))
         checks = [schedule.time_at_detuning_ratio(float(r)) for r in ratios]
-        traj = evolve_sweep(op, schedule, dt_max=cfg.get("dt_max", 0.5),
-                            local_tol=cfg.get("local_tol", 1e-9),
-                            checkpoints=checks)
+        traj = evolve_sweep(op, schedule, checkpoints=checks)
         for r, t in zip(ratios, checks):
             snapshots.append((float(r), traj.snapshots[t]))
     else:
         raise ConfigError("source must be groundstate or sweep")
-    results = fit_trajectory(snapshots, covers, basis,
-                             max_evals=cfg.get("max_evals", 2000))
+    results = fit_trajectory(snapshots, covers, basis)
     rows = []
     for label, fit in results:
         if fit is None:
@@ -382,15 +415,16 @@ def cmd_fit(cfg, run):
 
 def cmd_tn_grid(cfg, run):
     """Grid of transfer-matrix points; dn_dz1 differences the densities of
-    neighbouring z1 columns."""
+    neighbouring z1 columns, and xi is computed on the unprojected network
+    only."""
     L = cfg.get("circumference", 6)
     projected = cfg.get("projected", True)
-    compute_xi = cfg.get("compute_xi", not projected)
-    tol = cfg.get("tol", 1e-10)
     z1s = _grid(cfg, "z1")
     z2s = _grid(cfg, "z2")
     if len(z1s) < 2:
         raise ConfigError("z1 needs at least two values for dn_dz1")
+    if np.any(np.diff(z1s) <= 0):
+        raise ConfigError("z1 must be strictly increasing for dn_dz1")
     loop_z = _build_loop(cfg["loop_z"]) if "loop_z" in cfg else None
     loop_x = _build_loop(cfg["loop_x"]) if "loop_x" in cfg else None
     records = []
@@ -402,7 +436,7 @@ def cmd_tn_grid(cfg, run):
         for z1 in order:
             rec, warm = tnet.phase_diagram_point(
                 float(z1), float(z2), L, projected, loop_z, loop_x,
-                fd_step=None, tol=tol, compute_xi=compute_xi, warm=warm)
+                fd_step=None, compute_xi=not projected, warm=warm)
             row.append(rec)
         row.sort(key=lambda r: r["z1"])
         grad = np.gradient(np.array([r["density"] for r in row]), z1s)
@@ -418,16 +452,15 @@ def cmd_tn_grid(cfg, run):
 def cmd_bffm_scaling(cfg, run):
     """BFFM values over a family of loop perimeters at fixed points."""
     L = cfg.get("circumference", 6)
-    tol = cfg.get("tol", 1e-10)
     loops = [(spec, _build_loop(spec)) for spec in _need(cfg, "loops", list)]
     z2 = _need(cfg, "z2", (int, float))
     rows = []
     for z1 in _grid(cfg, "z1"):
         tm = tnet.cylinder_transfer(float(z1), float(z2), L, True)
-        b = tnet.dominant_eigenpair(tm, tol, compute_lam1=False)
+        b = tnet.dominant_eigenpair(tm, compute_lam1=False)
         for spec, loop in loops:
-            bz = tnet.bffm(tm, loop, b, x_type=False, tol=tol)
-            bx = tnet.bffm(tm, loop, b, x_type=True, tol=tol)
+            bz = tnet.bffm(tm, loop, b, x_type=False)
+            bx = tnet.bffm(tm, loop, b, x_type=True)
             rows.append((z1, z2, loop.perimeter, spec["shape"], bz, bx))
     write_csv(run.path("bffm_scaling.csv"),
               ["z1", "z2", "perimeter", "shape", "bffm_z", "bffm_x"], rows)
@@ -464,10 +497,7 @@ def cmd_tee(cfg, run):
         schedule = _make_schedule(cfg, _need(cfg, "total_time", (int, float)))
         checks = list(_grid(cfg, "checkpoint_times"))
         rvb = rvb_state(covers, basis)
-        traj = evolve_sweep(op, schedule, rvb=rvb,
-                            dt_max=cfg.get("dt_max", 0.5),
-                            local_tol=cfg.get("local_tol", 1e-9),
-                            checkpoints=checks)
+        traj = evolve_sweep(op, schedule, rvb=rvb, checkpoints=checks)
         def gamma(psi):
             return entangle.topological_entropy_report(psi, regions).gamma
 
@@ -565,7 +595,7 @@ FIG2_FIT = {
 }
 
 FIG3A_DENSITY = {
-    "circumference": 6, "projected": True, "compute_xi": False,
+    "circumference": 6, "projected": True,
     "z1": {"min": 0.1, "max": 1.5, "num": 20},
     "z2": {"min": 0.1, "max": 1.5, "num": 20},
 }
@@ -599,7 +629,7 @@ EXPERIMENT_DEFAULTS = {
     "fig3a_density": ("tn-grid", dict(FIG3A_DENSITY)),
     "fig3a_density_L4": ("tn-grid", dict(FIG3A_DENSITY, circumference=4)),
     "fig3b_bffm": ("tn-grid", {
-        "circumference": 6, "projected": True, "compute_xi": False,
+        "circumference": 6, "projected": True,
         "z1": {"min": 0.05, "max": 1.5, "num": 12},
         "z2": {"min": 0.05, "max": 1.5, "num": 12},
         "loop_z": {"shape": "hexagon", "radius": 2},
@@ -627,7 +657,7 @@ EXPERIMENT_DEFAULTS = {
         "sweep_times": [5, 10, 20, 35, 55, 80],
     }),
     "figS5_unprojected": ("tn-grid", {
-        "circumference": 6, "projected": False, "compute_xi": True,
+        "circumference": 6, "projected": False,
         "z1": {"min": 0.05, "max": 1.5, "num": 20},
         "z2": {"min": 0.05, "max": 1.5, "num": 20},
     }),

@@ -21,6 +21,8 @@ from .hilbert import StateVector
 GAUSS_SHIFT = math.sqrt(3.0) / 6.0     # Gauss-Legendre nodes 1/2 -+ sqrt(3)/6
 CF4_A = 0.25 + math.sqrt(3.0) / 6.0
 CF4_B = 0.25 - math.sqrt(3.0) / 6.0
+KRYLOV_DIM = 20         # Lanczos vectors per exponential
+CALIB_INTERVAL = 10     # accepted full steps between step-doubling checks
 
 
 class EvolveError(RuntimeError):
@@ -34,7 +36,7 @@ def overlap(psi, phi):
     return complex(np.vdot(psi.amplitudes, phi.amplitudes))
 
 
-def lanczos_expm_step(apply_h, psi, dt, tol=1e-10, krylov_dim=20,
+def lanczos_expm_step(apply_h, psi, dt, tol=1e-10, krylov_dim=KRYLOV_DIM,
                       breakdown_tol=1e-13):
     """exp(-i dt H) psi with a residual-controlled Lanczos subspace.
 
@@ -76,7 +78,7 @@ def lanczos_expm_step(apply_h, psi, dt, tol=1e-10, krylov_dim=20,
     return zgemv(nrm, vecs[:len(u)].T, u), err
 
 
-def cf4_step(op, schedule, psi, t, dt, tol=1e-10, krylov_dim=20):
+def cf4_step(op, schedule, psi, t, dt, tol=1e-10):
     """One 4th-order commutator-free Magnus step from t to t + dt."""
     t1 = t + (0.5 - GAUSS_SHIFT) * dt
     t2 = t + (0.5 + GAUSS_SHIFT) * dt
@@ -89,9 +91,9 @@ def cf4_step(op, schedule, psi, t, dt, tol=1e-10, krylov_dim=20):
     om_b = (CF4_B * om1 + CF4_A * om2) / (CF4_A + CF4_B)
     de_b = (CF4_B * de1 + CF4_A * de2) / (CF4_A + CF4_B)
     psi, e1 = lanczos_expm_step(lambda v: op.apply(v, om_a, de_a), psi, tau,
-                                tol, krylov_dim)
+                                tol)
     psi, e2 = lanczos_expm_step(lambda v: op.apply(v, om_b, de_b), psi, tau,
-                                tol, krylov_dim)
+                                tol)
     return psi, e1 + e2
 
 
@@ -114,12 +116,12 @@ class Trajectory:
 
 
 def evolve_sweep(op, schedule, psi0=None, rvb=None, dt_max=0.5, local_tol=1e-9,
-                 krylov_dim=20, n_samples=400, checkpoints=(), calib_interval=10):
+                 n_samples=400, checkpoints=()):
     """Propagate through the sweep and record observables on a uniform grid.
 
     psi0 defaults to the vacuum.  ``checkpoints`` are times at which full
     state snapshots are stored (in addition to the final state).  Every
-    ``calib_interval`` accepted steps the step size is recalibrated by
+    ``CALIB_INTERVAL`` accepted steps the step size is recalibrated by
     comparing one full step against two half steps.
     """
     basis = op.basis
@@ -158,20 +160,20 @@ def evolve_sweep(op, schedule, psi0=None, rvb=None, dt_max=0.5, local_tol=1e-9,
     t = 0.0
     dt = min(dt_max, 0.02 * T)
     n_steps = 0
-    since_calib = calib_interval      # calibrate on the very first step
+    since_calib = CALIB_INTERVAL      # calibrate on the very first step
     ktol = 0.1 * local_tol
     record(0.0)
     for t_event in events[1:]:
         while t < t_event - 1e-12:
             step = min(dt, dt_max, t_event - t)
             full_step = step >= min(dt, dt_max) - 1e-14
-            if full_step and since_calib >= calib_interval:
+            if full_step and since_calib >= CALIB_INTERVAL:
                 # step-doubling: accept two half steps, measure against one
                 while True:
-                    coarse, _ = cf4_step(op, schedule, psi, t, step, ktol, krylov_dim)
-                    half, _ = cf4_step(op, schedule, psi, t, 0.5 * step, ktol, krylov_dim)
+                    coarse, _ = cf4_step(op, schedule, psi, t, step, ktol)
+                    half, _ = cf4_step(op, schedule, psi, t, 0.5 * step, ktol)
                     fine, _ = cf4_step(op, schedule, half, t + 0.5 * step,
-                                       0.5 * step, ktol, krylov_dim)
+                                       0.5 * step, ktol)
                     err = float(np.linalg.norm(coarse - fine))
                     if err <= local_tol or step < 1e-10 * max(T, 1.0):
                         break
@@ -185,7 +187,7 @@ def evolve_sweep(op, schedule, psi0=None, rvb=None, dt_max=0.5, local_tol=1e-9,
                 dt = min(step * grow, dt_max)
                 since_calib = 0
             else:
-                psi, kerr = cf4_step(op, schedule, psi, t, step, ktol, krylov_dim)
+                psi, kerr = cf4_step(op, schedule, psi, t, step, ktol)
                 if kerr > local_tol:
                     raise EvolveError(
                         "Krylov residual %.2e beyond tolerance at t=%.4g" % (kerr, t))

@@ -8,9 +8,10 @@ import sys
 import numpy as np
 import pytest
 
-from rvbprep import cli, tnet
+from rvbprep import cli, entangle, tnet
 from rvbprep.evolve import evolve_sweep
 from rvbprep.geometry import build_cluster
+from rvbprep.hilbert import abs_state
 from rvbprep.model import HamiltonianOperator, HamiltonianSpec, SweepSchedule
 from rvbprep.spectrum import fidelity_susceptibility_scan
 
@@ -171,6 +172,23 @@ def test_sweep_delta1_grid_keeps_every_trajectory(tmp_path):
         assert hi["Delta"][-1] == pytest.approx(1.6)
 
 
+def test_sweep_rejects_trajectory_names_that_coincide(tmp_path, monkeypatch):
+    # %g names both sweeps trajectory_n12_T2.csv; the run stops before the
+    # first sweep instead of keeping only the second one's file
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(cli, "evolve_sweep", no_sweep)
+    cfg = write_config(tmp_path, "c.json", {
+        "n_atoms": 12, "sweep_times": [2.0, 2.0000001], "n_samples": 5,
+        "write_trajectories": True})
+    out = tmp_path / "out"
+    assert run_cli(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert sorted(os.listdir(out)) == ["manifest.json"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "trajectory_n12_T2.csv" in manifest["error"]
+
+
 def test_sweep_verb(tmp_path):
     cfg = write_config(tmp_path, "c.json", {
         "n_atoms": 12, "sweep_times": [3.0], "n_samples": 10})
@@ -200,8 +218,7 @@ def test_tn_grid_modes_agree(tmp_path):
     # the grid column of dn_dz1 against a local central difference
     z1s = [0.2, 0.3, 0.4, 0.5]
     cfg = write_config(tmp_path, "c.json", {
-        "circumference": 2, "projected": True, "compute_xi": False,
-        "z1": z1s, "z2": [0.3]})
+        "circumference": 2, "projected": True, "z1": z1s, "z2": [0.3]})
     out = str(tmp_path / "out")
     assert run_cli(["tn-grid", "--config", cfg, "--out", out]) == 0
     got = read_csv(os.path.join(out, "grid.csv"))
@@ -218,6 +235,20 @@ def test_tn_grid_modes_agree(tmp_path):
                                               "z1": [0.2], "z2": [0.3]})
     assert run_cli(["tn-grid", "--config", one,
                     "--out", str(tmp_path / "one")]) == 2
+
+
+def test_tn_grid_rejects_z1_that_does_not_increase(tmp_path):
+    # np.gradient over an unsorted or repeated z1 grid wrote wrong-signed,
+    # inf or nan dn_dz1 and exited 0
+    for i, z1 in enumerate(([0.4, 0.2, 0.3], [0.2, 0.2, 0.3],
+                            {"min": 0.4, "max": 0.2, "num": 3})):
+        cfg = write_config(tmp_path, "c%d.json" % i, {
+            "circumference": 2, "z1": z1, "z2": [0.3]})
+        out = tmp_path / ("out%d" % i)
+        assert run_cli(["tn-grid", "--config", cfg, "--out", str(out)]) == 2
+        assert not (out / "grid.csv").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "strictly increasing" in manifest["error"]
 
 
 def test_verify_pass_perturb_missing(tmp_path):
@@ -298,6 +329,22 @@ def test_unknown_config_keys_exit_2(tmp_path):
         assert not os.path.exists(out)
         with pytest.raises(cli.ConfigError, match=key.replace(".", r"\.")):
             cli.check_keys("tn-grid", dict(base, **extra))
+    # solver settings are the library's defaults, not config keys
+    retired = {"sweep": ("dt_max", "local_tol"),
+               "tee": ("dt_max", "local_tol"),
+               "fit": ("dt_max", "local_tol", "tol", "max_evals"),
+               "gs-scan": ("tol", "dlambda"),
+               "tn-grid": ("tol", "compute_xi"),
+               "bffm-scaling": ("tol",)}
+    assert sum(map(len, retired.values())) == 13
+    for verb, keys in retired.items():
+        for key in keys:
+            cfg = write_config(tmp_path, "r.json", {key: 1})
+            out = tmp_path / ("%s_%s" % (verb, key))
+            assert run_cli([verb, "--config", cfg, "--out", str(out)]) == 2
+            assert not out.exists()
+            with pytest.raises(cli.ConfigError, match=key):
+                cli.check_keys(verb, {key: 1})
     for name, (verb, cfg) in cli.EXPERIMENT_DEFAULTS.items():
         cli.check_keys(verb, cfg)
 
@@ -347,11 +394,22 @@ def test_golden_directories_are_named_experiments():
     assert names <= set(cli.EXPERIMENT_DEFAULTS)
 
 
+def test_golden_manifest_configs_pass_check_keys():
+    golden_dir = os.path.join(os.path.dirname(__file__), os.pardir,
+                              "goldens")
+    names = sorted(os.listdir(golden_dir))
+    assert names
+    for name in names:
+        with open(os.path.join(golden_dir, name, "manifest.json")) as fh:
+            manifest = json.load(fh)
+        verb = cli.EXPERIMENT_DEFAULTS[name][0]
+        cli.check_keys(verb, manifest["config"])
+
+
 def test_fit_sweep_experiment_reaches_its_ratios(tmp_path):
     # fig2_fit_sweep_T* at N = 12: the sweep passes every ratio of the grid
     cfg = write_config(tmp_path, "c.json", {
-        "n_atoms": 12, "delta_over_omega": [1.0, 2.4], "total_time": 5.0,
-        "max_evals": 200})
+        "n_atoms": 12, "delta_over_omega": [1.0, 2.4], "total_time": 5.0})
     out = str(tmp_path / "out")
     assert run_cli(["fit", "--experiment", "fig2_fit_sweep_T25",
                     "--config", cfg, "--out", out]) == 0
@@ -395,3 +453,34 @@ def test_tee_rerun_matches_golden(tmp_path):
     for name in ("entropies.csv", "gamma.json"):
         with open(golden_path("fig3c_tee", name), "rb") as fh:
             assert (out / name).read_bytes() == fh.read(), name
+    # the manifest records the threads each loaded OpenBLAS copy runs
+    blas = json.loads((out / "manifest.json").read_text())[
+        "environment"]["openblas"]
+    assert blas and [lib["threads"] for lib in blas] == [1] * len(blas)
+
+
+def test_tee_sweep_source(tmp_path, monkeypatch, cluster24, basis24):
+    # a 24-atom cluster with three disjoint regions stands in for the
+    # 36-atom TEE cluster, whose sweeps take tens of seconds
+    regions = (range(0, 6), range(6, 12), range(12, 18))
+    monkeypatch.setattr(cli, "tee_cluster", lambda n_atoms: cluster24)
+    monkeypatch.setattr(cli, "kitaev_preskill_regions",
+                        lambda cluster: regions)
+    checks = [0.5, 1.25, 2.0]
+    cfg = write_config(tmp_path, "c.json", {
+        "n_atoms": 24, "source": "sweep", "total_time": 2.0,
+        "checkpoint_times": checks})
+    out = tmp_path / "out"
+    assert run_cli(["tee", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "gamma_sweep.csv").read_text().splitlines()
+    assert lines[0] == "t,gamma_raw,gamma_abs"
+    rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+    op = HamiltonianOperator(HamiltonianSpec(), basis24, cluster24)
+    traj = evolve_sweep(op, SweepSchedule.default_protocol(2.0),
+                        checkpoints=checks)
+
+    def gamma(psi):
+        return entangle.topological_entropy_report(psi, regions).gamma
+
+    assert rows == [[t, gamma(traj.snapshots[t]),
+                     gamma(abs_state(traj.snapshots[t]))] for t in checks]
