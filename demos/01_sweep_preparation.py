@@ -19,7 +19,8 @@ rvb = hilbert.rvb_state(covers, basis)
 print("atoms: %d   basis states: %d   maximal covers: %d"
       % (cluster.n_atoms, basis.dim, covers.count))
 
-op = model.HamiltonianOperator(model.HamiltonianSpec(), basis)
+# with its cluster the operator sweeps in the zero-momentum sector
+op = model.HamiltonianOperator(model.HamiltonianSpec(), basis, cluster)
 
 print("\n%8s %10s %12s %12s" % ("T", "T/N", "|<RVB|psi>|", "norm drift"))
 best = (0.0, None)

@@ -281,6 +281,16 @@ def _operator(cfg, cluster=None):
     return cluster, basis, covers, op
 
 
+def _record_sector(run, n_atoms, op):
+    """Add the sizes a sweep runs at to the manifest: the basis dim, and the
+    dim and flip nnz of the zero-momentum sector that it runs in."""
+    _, red = op.k0_sector()
+    run.manifest.setdefault("k0_sector", []).append({
+        "n_atoms": int(n_atoms), "basis_dim": op.dim, "k0_dim": red.dim,
+        "k0_nnz": int(red.flip.nnz)})
+    run._write()
+
+
 # --- verbs ----------------------------------------------------------------
 
 def cmd_cluster(cfg, run):
@@ -311,6 +321,8 @@ def cmd_gs_scan(cfg, run):
     cluster, basis, covers, op = _operator(cfg)
     rvb = rvb_state(covers, basis) if covers.count else None
     lambdas = _grid(cfg, "lambda")
+    if np.any(np.diff(lambdas) <= 0):
+        raise ConfigError("lambda must be strictly increasing")
     scan = fidelity_susceptibility_scan(op, lambdas, rvb=rvb)
     write_csv(run.path("gs_scan.csv"),
               ["lambda", "energy", "gap", "rvb_overlap",
@@ -345,6 +357,7 @@ def cmd_sweep(cfg, run):
         sub["n_atoms"] = int(n_atoms)
         _, basis, covers, op = _operator(sub)
         rvb = rvb_state(covers, basis)
+        _record_sector(run, n_atoms, op)
         for delta1 in delta1s:
             scfg = sub if delta1 is None else dict(sub, delta1=float(delta1))
             for total in times:
@@ -391,6 +404,7 @@ def cmd_fit(cfg, run):
     elif source == "sweep":
         schedule = _make_schedule(cfg, _need(cfg, "total_time", (int, float)))
         checks = [schedule.time_at_detuning_ratio(float(r)) for r in ratios]
+        _record_sector(run, cluster.n_atoms, op)
         traj = evolve_sweep(op, schedule, checkpoints=checks)
         for r, t in zip(ratios, checks):
             snapshots.append((float(r), traj.snapshots[t]))
@@ -497,6 +511,7 @@ def cmd_tee(cfg, run):
         schedule = _make_schedule(cfg, _need(cfg, "total_time", (int, float)))
         checks = list(_grid(cfg, "checkpoint_times"))
         rvb = rvb_state(covers, basis)
+        _record_sector(run, n_atoms, op)
         traj = evolve_sweep(op, schedule, rvb=rvb, checkpoints=checks)
         def gamma(psi):
             return entangle.topological_entropy_report(psi, regions).gamma

@@ -123,13 +123,25 @@ def evolve_sweep(op, schedule, psi0=None, rvb=None, dt_max=0.5, local_tol=1e-9,
     state snapshots are stored (in addition to the final state).  Every
     ``CALIB_INTERVAL`` accepted steps the step size is recalibrated by
     comparing one full step against two half steps.
+
+    H, the vacuum and the RVB state are translation-invariant, so the sweep
+    runs in the zero-momentum sector of ``op.k0_sector``: psi0 must lie in
+    it, observables are read there, and the snapshots and the final state
+    are expanded back onto ``op.basis``.  ``rk4_evolve`` stays on the full
+    basis as the oracle.
     """
     basis = op.basis
+    iso, red = op.k0_sector()
     if psi0 is None:
         amps = np.zeros(basis.dim, dtype=np.complex128)
         amps[basis.index_of(0)] = 1.0
         psi0 = StateVector(basis, amps)
-    psi = psi0.amplitudes.copy()
+    psi = iso.T @ psi0.amplitudes
+    leak = float(np.linalg.norm(iso @ psi - psi0.amplitudes))
+    if leak > 1e-12:
+        raise EvolveError("psi0 is not translation-invariant: a component "
+                          "of norm %.2e lies outside the zero-momentum "
+                          "sector" % leak)
     T = schedule.total_time
 
     samples = np.linspace(0.0, T, n_samples)
@@ -137,7 +149,8 @@ def evolve_sweep(op, schedule, psi0=None, rvb=None, dt_max=0.5, local_tol=1e-9,
     if events[0] > 0:
         events = np.concatenate([[0.0], events])
 
-    rvb_amps = rvb.amplitudes if rvb is not None else None
+    # <rvb|P phi> = <P.T rvb|phi> for any rvb
+    rvb_amps = iso.T @ rvb.amplitudes if rvb is not None else None
     n_atoms = basis.n_atoms
     excitations = np.arange(n_atoms + 1, dtype=np.float64)
     rec = {k: [] for k in ("t", "om", "de", "norm", "ov", "dens", "w")}
@@ -145,7 +158,8 @@ def evolve_sweep(op, schedule, psi0=None, rvb=None, dt_max=0.5, local_tol=1e-9,
 
     def record(t):
         om, de = schedule.omega(t), schedule.delta(t)
-        state = StateVector(basis, psi)
+        # an orbit's configurations share its representative's popcount
+        state = StateVector(red.basis, psi)
         weights = state.sector_weights()
         rec["t"].append(t)
         rec["om"].append(om)
@@ -170,9 +184,9 @@ def evolve_sweep(op, schedule, psi0=None, rvb=None, dt_max=0.5, local_tol=1e-9,
             if full_step and since_calib >= CALIB_INTERVAL:
                 # step-doubling: accept two half steps, measure against one
                 while True:
-                    coarse, _ = cf4_step(op, schedule, psi, t, step, ktol)
-                    half, _ = cf4_step(op, schedule, psi, t, 0.5 * step, ktol)
-                    fine, _ = cf4_step(op, schedule, half, t + 0.5 * step,
+                    coarse, _ = cf4_step(red, schedule, psi, t, step, ktol)
+                    half, _ = cf4_step(red, schedule, psi, t, 0.5 * step, ktol)
+                    fine, _ = cf4_step(red, schedule, half, t + 0.5 * step,
                                        0.5 * step, ktol)
                     err = float(np.linalg.norm(coarse - fine))
                     if err <= local_tol or step < 1e-10 * max(T, 1.0):
@@ -187,7 +201,7 @@ def evolve_sweep(op, schedule, psi0=None, rvb=None, dt_max=0.5, local_tol=1e-9,
                 dt = min(step * grow, dt_max)
                 since_calib = 0
             else:
-                psi, kerr = cf4_step(op, schedule, psi, t, step, ktol)
+                psi, kerr = cf4_step(red, schedule, psi, t, step, ktol)
                 if kerr > local_tol:
                     raise EvolveError(
                         "Krylov residual %.2e beyond tolerance at t=%.4g" % (kerr, t))
@@ -199,9 +213,9 @@ def evolve_sweep(op, schedule, psi0=None, rvb=None, dt_max=0.5, local_tol=1e-9,
         if round(t, 12) in sample_set:
             record(t)
         if np.any(np.abs(np.asarray(checkpoints) - t) < 1e-9):
-            snapshots[t] = StateVector(basis, psi.copy())
+            snapshots[t] = StateVector(basis, iso @ psi)
 
-    final = StateVector(basis, psi)
+    final = StateVector(basis, iso @ psi)
     traj = Trajectory(
         times=np.array(rec["t"]),
         omegas=np.array(rec["om"]),

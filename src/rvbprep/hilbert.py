@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 BASIS_BUDGET_GIB = 8.0
 
@@ -190,6 +191,33 @@ def cover_bitsets(cluster):
 
     search(0, 1)
     return sorted(covers)
+
+
+def translation_orbits(basis, cluster=None):
+    """The isometry onto the zero-momentum sector of the cluster's torus.
+
+    Returns (P, reps): P is the real CSR matrix of shape (dim, n_orbits)
+    with P[c, a] = 1/sqrt(|orbit a|), so that its columns are the
+    normalized k = 0 orbit states and P.T @ P = 1; reps holds the basis
+    index of each orbit's label, its smallest index, in ascending order.
+    Without a cluster the only translation is the identity and P = 1.
+    """
+    labels = np.arange(basis.dim)
+    if cluster is not None:
+        for d1 in range(cluster.n1):
+            for d2 in range(cluster.n2):
+                perm = cluster.translate_atoms(d1, d2)
+                image = np.zeros(basis.dim, dtype=np.uint64)
+                for i, j in enumerate(perm):
+                    bit = (basis.configs >> np.uint64(i)) & np.uint64(1)
+                    image |= bit << np.uint64(j)
+                np.minimum(labels, basis.indices_of(image), out=labels)
+    reps, column = np.unique(labels, return_inverse=True)
+    sizes = np.bincount(column)
+    iso = sp.csr_matrix((1.0 / np.sqrt(sizes[column]),
+                         (np.arange(basis.dim), column)),
+                        shape=(basis.dim, len(reps)))
+    return iso, reps
 
 
 def rvb_state(covers, basis):

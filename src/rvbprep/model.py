@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .hilbert import ConstrainedBasis, translation_orbits
+
 SQRT13 = math.sqrt(13.0)
 DEFAULT_BLOCKADE_RADIUS = 2.4
 
@@ -67,6 +69,8 @@ class HamiltonianOperator:
 
     The single-bit-flip structure X and the diagonal vectors are assembled
     once; apply() is then one real sparse product and two vector scalings.
+    H commutes with the translations of the cluster's torus, and
+    ``k0_sector`` gives its block in the zero-momentum sector.
     """
 
     def __init__(self, spec, basis, cluster=None):
@@ -77,6 +81,8 @@ class HamiltonianOperator:
             )
         self.spec = spec
         self.basis = basis
+        self.cluster = cluster
+        self._k0 = None
         self.n_diag = basis.popcounts.astype(np.float64)
         self.flip = _flip_matrix(basis)
         if spec.variant == FULL_RYDBERG:
@@ -107,6 +113,31 @@ class HamiltonianOperator:
         out *= 0.5 * omega
         out += diag * psi
         return out
+
+    def k0_sector(self):
+        """(P, reduced operator) of the zero-momentum sector.
+
+        P is ``hilbert.translation_orbits``' isometry, and the reduced
+        operator is H on the orbit states: flip P.T @ flip @ P, and the
+        diagonals at the orbit representatives, on which they are constant.
+        H P = P H_r, so a state of the sector evolves as its P.T image
+        does.  Built on the first call and kept.
+        """
+        if self._k0 is None:
+            iso, reps = translation_orbits(self.basis, self.cluster)
+            # not __init__: that would assemble the flip between the
+            # representatives themselves, not between their orbit states
+            red = HamiltonianOperator.__new__(HamiltonianOperator)
+            red.spec, red.cluster, red._k0 = self.spec, None, None
+            red.basis = ConstrainedBasis(self.basis.n_atoms,
+                                         self.basis.configs[reps],
+                                         self.basis.radius)
+            flip = (iso.T @ self.flip @ iso).tocsr()
+            red.flip = (0.5 * (flip + flip.T)).tocsr()     # exactly symmetric
+            red.n_diag = self.n_diag[reps]
+            red.tail_diag = self.tail_diag[reps]
+            self._k0 = (iso, red)
+        return self._k0
 
     def aslinearoperator(self, omega, delta):
         import scipy.sparse.linalg as spla

@@ -13,6 +13,7 @@ import os
 import sys
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir,
@@ -89,3 +90,17 @@ def test_cf4_step_calls_lanczos_through_the_module(basis12, monkeypatch):
     psi[basis12.index_of(0)] = 1.0
     evolve.cf4_step(op, SweepSchedule.default_protocol(2.0), psi, 0.5, 0.1)
     assert len(calls) == 2
+
+
+def test_sweep_states_are_on_the_operator_basis(cluster12, basis12, rvb12):
+    # the sweep workload takes vdot of final_state with an RVB state on the
+    # full basis; the sweep itself runs in the zero-momentum sector
+    op = HamiltonianOperator(HamiltonianSpec(), basis12, cluster12)
+    traj = evolve.evolve_sweep(op, SweepSchedule.default_protocol(1.0),
+                               rvb=rvb12, n_samples=5, checkpoints=(0.5,))
+    assert op.k0_sector()[1].dim < basis12.dim
+    for state in (traj.final_state, traj.snapshots[0.5]):
+        assert state.basis is basis12
+        assert state.amplitudes.shape == (basis12.dim,)
+    final_overlap = abs(np.vdot(rvb12.amplitudes, traj.final_state.amplitudes))
+    assert final_overlap == pytest.approx(traj.rvb_overlap[-1], abs=1e-14)

@@ -19,8 +19,10 @@ from conftest import golden_path, read_csv
 
 
 @pytest.fixture(scope="module")
-def op12(basis12):
-    return HamiltonianOperator(HamiltonianSpec(), basis12)
+def op12(basis12, cluster12):
+    # with its cluster, as the verbs build it: sweeps run in its
+    # zero-momentum sector
+    return HamiltonianOperator(HamiltonianSpec(), basis12, cluster12)
 
 
 def write_config(tmp_path, name, cfg):
@@ -360,16 +362,56 @@ def test_experiment_name_validation(tmp_path):
 
 def test_manifest_written_before_outputs(tmp_path):
     # a run that fails mid-verb leaves a 'failed' manifest with its error;
-    # only a killed run is left 'running'
+    # only a killed run is left 'running'.  N = 6 has an odd number of
+    # kagome vertices, so no dimer cover and no RVB state to sweep to
     cfg = write_config(tmp_path, "c.json", {
-        "n_atoms": 12, "lambda": [0.9, 0.5]})     # not increasing -> error
+        "n_atoms": 6, "sweep_times": [2.0]})
     out = str(tmp_path / "out")
-    assert run_cli(["gs-scan", "--config", cfg, "--out", out]) == 1
+    assert run_cli(["sweep", "--config", cfg, "--out", out]) == 1
     manifest = json.loads(open(os.path.join(out, "manifest.json")).read())
     assert manifest["status"] == "failed"
     assert manifest["error"] == (
-        "SpectrumError: lambda grid must be strictly increasing")
+        "BasisError: cover set is empty; no RVB state exists")
     assert manifest["outputs"] == {}
+
+
+def test_gs_scan_rejects_lambda_that_does_not_increase(tmp_path):
+    # a configuration error, exit 2, as tn-grid's z1 grid; the scan never
+    # starts
+    for i, lam in enumerate(([0.9, 0.5], [0.5, 0.5, 0.9],
+                             {"min": 0.9, "max": 0.5, "num": 3})):
+        cfg = write_config(tmp_path, "c%d.json" % i, {
+            "n_atoms": 12, "lambda": lam})
+        out = tmp_path / ("out%d" % i)
+        assert run_cli(["gs-scan", "--config", cfg, "--out", str(out)]) == 2
+        assert sorted(os.listdir(out)) == ["manifest.json"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == (
+            "ConfigError: lambda must be strictly increasing")
+
+
+def test_sweep_manifests_record_the_k0_sector(tmp_path, op12):
+    # per size: the basis dim, and the dim and flip nnz of the
+    # zero-momentum sector the sweeps ran in; the CSVs do not change
+    _, red = op12.k0_sector()
+    n12 = {"n_atoms": 12, "basis_dim": op12.dim, "k0_dim": red.dim,
+           "k0_nnz": red.flip.nnz}
+    n24 = {"n_atoms": 24, "basis_dim": 2649, "k0_dim": 702, "k0_nnz": 4980}
+    cfg = write_config(tmp_path, "s.json", {
+        "sizes": [12, 24], "sweep_times": [1.0], "n_samples": 5})
+    out = tmp_path / "sweep"
+    assert run_cli(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["k0_sector"] == [n12, n24]
+    assert sorted(manifest["outputs"]) == ["sweep.csv"]
+    cfg = write_config(tmp_path, "f.json", {
+        "n_atoms": 12, "delta_over_omega": [1.0], "total_time": 5.0})
+    out = tmp_path / "fit"
+    assert run_cli(["fit", "--experiment", "fig2_fit_sweep_T25",
+                    "--config", cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["k0_sector"] == [n12]
 
 
 def test_sweep_sizes_without_n_atoms(tmp_path):
@@ -484,3 +526,6 @@ def test_tee_sweep_source(tmp_path, monkeypatch, cluster24, basis24):
 
     assert rows == [[t, gamma(traj.snapshots[t]),
                      gamma(abs_state(traj.snapshots[t]))] for t in checks]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["k0_sector"] == [{
+        "n_atoms": 24, "basis_dim": 2649, "k0_dim": 702, "k0_nnz": 4980}]

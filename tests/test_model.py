@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from rvbprep.geometry import constraint_graph
+from rvbprep.geometry import cluster_preset, constraint_graph, tee_cluster
 from rvbprep.hilbert import enumerate_basis
 from rvbprep.model import (HamiltonianOperator, HamiltonianSpec, ModelError,
                            SweepSchedule, diagonal_interaction,
@@ -197,3 +198,51 @@ def test_time_at_detuning_ratio():
         assert abs(s.delta(t) - ratio * s.omega(t)) < 1e-9
     with pytest.raises(ModelError):
         s.time_at_detuning_ratio(3.0)   # above the final detuning
+
+
+# --- zero-momentum sector --------------------------------------------------
+
+@pytest.mark.parametrize("case, n_orbits", [
+    ("pxp12", None), ("full12", None), ("pxp24", 702), ("full24", 16576),
+    ("tee36", None)])
+def test_k0_sector_intertwines_with_the_full_operator(case, n_orbits):
+    # H P = P H_r: the flip and both diagonals, on the preset tori, the
+    # full model's wide basis and the sheared TEE torus
+    if case == "tee36":
+        cluster = tee_cluster(36)
+    else:
+        cluster = cluster_preset(int(case[-2:]))
+    spec = full_rydberg_spec() if case.startswith("full") else HamiltonianSpec()
+    basis = enumerate_basis(constraint_graph(cluster, spec.constraint_radius))
+    op = HamiltonianOperator(spec, basis, cluster)
+    iso, red = op.k0_sector()
+    assert op.k0_sector()[1] is red
+    assert iso.shape == (basis.dim, red.dim)
+    if n_orbits is not None:
+        assert red.dim == n_orbits
+    # every configuration lies in one orbit, and the orbit sizes sum to dim
+    assert np.array_equal(np.diff(iso.indptr), np.ones(basis.dim))
+    sizes = np.bincount(iso.indices, minlength=red.dim)
+    assert sizes.sum() == basis.dim and sizes.min() >= 1
+    assert np.allclose(iso.data, 1.0 / np.sqrt(sizes[iso.indices]),
+                       rtol=0, atol=1e-15)
+    assert abs(op.flip @ iso - iso @ red.flip).max() <= 1e-13
+    for full, reduced in ((op.n_diag, red.n_diag),
+                          (op.tail_diag, red.tail_diag)):
+        diag_p = iso.multiply(full[:, None])
+        p_diag = iso @ sp.diags(reduced)
+        assert abs(diag_p - p_diag).max() <= 1e-13
+    assert (red.flip != red.flip.T).nnz == 0
+    assert abs(iso.T @ iso - sp.identity(red.dim)).max() <= 1e-13
+    # each orbit is represented by its smallest configuration
+    smallest = np.full(red.dim, np.iinfo(np.uint64).max, dtype=np.uint64)
+    np.minimum.at(smallest, iso.indices, basis.configs)
+    assert np.array_equal(red.basis.configs, smallest)
+
+
+def test_k0_sector_without_cluster_is_the_identity(basis12):
+    op = HamiltonianOperator(HamiltonianSpec(), basis12)
+    iso, red = op.k0_sector()
+    assert (iso != sp.identity(basis12.dim)).nnz == 0
+    assert np.array_equal(red.basis.configs, basis12.configs)
+    assert (red.flip != op.flip).nnz == 0
