@@ -243,7 +243,7 @@ def fit_to_state(psi, covers, basis, warm_start=None, max_evals=2000,
                      "vacuum" if on_limb else "rvb")
 
 
-def fit_trajectory(snapshots, covers, basis, **kwargs):
+def fit_trajectory(snapshots, covers, basis):
     """Fit each (label, state) pair, warm-starting from the previous optimum.
 
     Returns a list of (label, FitResult); per-snapshot failures are recorded
@@ -255,7 +255,7 @@ def fit_trajectory(snapshots, covers, basis, **kwargs):
     for label, psi in snapshots:
         try:
             fit = fit_to_state(psi, covers, basis, warm_start=warm,
-                               builder=builder, **kwargs)
+                               builder=builder)
             warm = fit.params
             results.append((label, fit))
         except AnsatzError:

@@ -9,6 +9,7 @@ a cutoff distance.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -32,22 +33,14 @@ class ModelError(ValueError):
 class HamiltonianSpec:
     variant: str = PXP
     constraint_radius: float = 2.0
-    blockade_radius: float = DEFAULT_BLOCKADE_RADIUS
-    tail_cutoff: float = SQRT13
 
     def __post_init__(self):
         if self.variant not in (PXP, FULL_RYDBERG):
             raise ModelError("unknown Hamiltonian variant %r" % self.variant)
 
-    @property
-    def interaction_strength(self):
-        return self.blockade_radius ** 6
 
-
-def full_rydberg_spec(constraint_radius=1.0, blockade_radius=DEFAULT_BLOCKADE_RADIUS,
-                      tail_cutoff=SQRT13):
-    return HamiltonianSpec(variant=FULL_RYDBERG, constraint_radius=constraint_radius,
-                           blockade_radius=blockade_radius, tail_cutoff=tail_cutoff)
+def full_rydberg_spec(constraint_radius=1.0):
+    return HamiltonianSpec(variant=FULL_RYDBERG, constraint_radius=constraint_radius)
 
 
 def tail_pairs(cluster, constraint_radius, cutoff):
@@ -67,10 +60,10 @@ def tail_pairs(cluster, constraint_radius, cutoff):
 class HamiltonianOperator:
     """H(Omega, Delta) = Omega/2 * X - Delta * n + tails over a fixed basis.
 
-    The single-bit-flip structure X and the diagonal vectors are assembled
-    once; apply() is then one real sparse product and two vector scalings.
-    H commutes with the translations of the cluster's torus, and
-    ``k0_sector`` gives its block in the zero-momentum sector.
+    The diagonal vectors are assembled once and the single-bit-flip
+    structure X on first use; apply() is then one real sparse product and
+    two vector scalings.  H commutes with the translations of the cluster's
+    torus, and ``k0_sector`` gives its block in the zero-momentum sector.
     """
 
     def __init__(self, spec, basis, cluster=None):
@@ -84,19 +77,22 @@ class HamiltonianOperator:
         self.cluster = cluster
         self._k0 = None
         self.n_diag = basis.popcounts.astype(np.float64)
-        self.flip = _flip_matrix(basis)
         if spec.variant == FULL_RYDBERG:
             if cluster is None:
                 raise ModelError("full Rydberg model needs the cluster geometry")
             self.tail_diag = diagonal_interaction(
-                basis, cluster, spec.constraint_radius, spec.tail_cutoff
-            ) * spec.interaction_strength
+                basis, cluster, spec.constraint_radius, SQRT13
+            ) * DEFAULT_BLOCKADE_RADIUS ** 6
         else:
             self.tail_diag = np.zeros(basis.dim)
 
     @property
     def dim(self):
         return self.basis.dim
+
+    @functools.cached_property
+    def flip(self):
+        return _flip_matrix(self.basis)
 
     def apply(self, psi, omega, delta):
         diag = self.tail_diag - delta * self.n_diag
@@ -117,25 +113,20 @@ class HamiltonianOperator:
     def k0_sector(self):
         """(P, reduced operator) of the zero-momentum sector.
 
-        P is ``hilbert.translation_orbits``' isometry, and the reduced
-        operator is H on the orbit states: flip P.T @ flip @ P, and the
-        diagonals at the orbit representatives, on which they are constant.
-        H P = P H_r, so a state of the sector evolves as its P.T image
-        does.  Built on the first call and kept.
+        P is ``hilbert.translation_orbits``' isometry.  The reduced operator
+        is H on the orbit states, built once from the representatives: flip
+        P.T @ flip @ P, and the diagonals, which are constant on orbits.
+        H P = P H_r, so a state of the sector evolves as its P.T image does.
         """
         if self._k0 is None:
-            iso, reps = translation_orbits(self.basis, self.cluster)
-            # not __init__: that would assemble the flip between the
-            # representatives themselves, not between their orbit states
+            iso, reps = orbits = translation_orbits(self.basis, self.cluster)
+            # not __init__, which would keep the cluster and redo the diagonals
             red = HamiltonianOperator.__new__(HamiltonianOperator)
             red.spec, red.cluster, red._k0 = self.spec, None, None
             red.basis = ConstrainedBasis(self.basis.n_atoms,
-                                         self.basis.configs[reps],
-                                         self.basis.radius)
-            flip = (iso.T @ self.flip @ iso).tocsr()
-            red.flip = (0.5 * (flip + flip.T)).tocsr()     # exactly symmetric
-            red.n_diag = self.n_diag[reps]
-            red.tail_diag = self.tail_diag[reps]
+                                         self.basis.configs[reps], self.basis.radius)
+            red.flip = _flip_matrix(self.basis, orbits)
+            red.n_diag, red.tail_diag = self.n_diag[reps], self.tail_diag[reps]
             self._k0 = (iso, red)
         return self._k0
 
@@ -153,24 +144,34 @@ class HamiltonianOperator:
         return h
 
 
-def _flip_matrix(basis):
-    """Symmetric 0/1 matrix connecting configs that differ by one legal flip."""
-    configs = basis.configs
+def _flip_matrix(basis, orbits=None):
+    """Symmetric matrix of the single legal flips between configurations.
+
+    With ``orbits``, the (P, reps) of ``hilbert.translation_orbits``, it is
+    P.T @ flip @ P, built from the representatives alone: orbits a and b
+    get n_ab * w_a * w_b, with w = 1/sqrt(|orbit|) and n_ab = m_ab * |O_a|
+    the flips between them, m_ab of them from a's representative.  Without,
+    P = 1: every configuration is its own orbit and every weight is 1.
+    """
+    iso, reps = translation_orbits(basis) if orbits is None else orbits
+    orbit = iso.indices                 # P has one entry per row
+    sizes = np.bincount(orbit).astype(np.float64)
+    weight = 1.0 / np.sqrt(sizes)
+    sources = basis.configs[reps]
     rows, cols = [], []
     for i in range(basis.n_atoms):
-        partner = configs ^ np.uint64(1 << i)
-        down = (configs >> np.uint64(i)) & np.uint64(1) == 1
+        partner = sources ^ np.uint64(1 << i)
+        down = (sources >> np.uint64(i)) & np.uint64(1) == 1
         ok = basis.contains(partner)
         # record only the downward flip; symmetrize below
         sel = down & ok
-        rows.append(basis.indices_of(partner[sel]))
+        rows.append(orbit[basis.indices_of(partner[sel])])
         cols.append(np.nonzero(sel)[0])
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    data = np.ones(len(rows))
-    x = sp.coo_matrix((data, (rows, cols)), shape=(basis.dim, basis.dim))
-    x = (x + x.T).tocsr()
-    return x
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    # duplicates sum to n_ab, an exact integer
+    x = sp.csr_matrix((sizes[cols], (rows, cols)), shape=(len(reps), len(reps)))
+    x.data *= weight[x.indices] * np.repeat(weight, np.diff(x.indptr))
+    return (x + x.T).tocsr()
 
 
 def diagonal_interaction(basis, cluster, constraint_radius, cutoff):
@@ -217,8 +218,8 @@ class SweepSchedule:
     """Three-stage ramp: switch Omega on, sweep Delta, switch Omega off.
 
     The piecewise-linear profiles are smoothed by a uniform (moving-average)
-    filter whose window shrinks near t = 0 and t = T so that the boundary
-    values are exact.
+    filter whose window shrinks near t = 0 and t = T, and closes within
+    1e-9 T of them, so that the boundary values are exact.
     """
 
     total_time: float
@@ -242,16 +243,14 @@ class SweepSchedule:
         if self.t3 > 0:
             self._omega = _PiecewiseLinear(
                 [0.0, self.t1, self.t1 + self.t2, T], [0.0, 1.0, 1.0, 0.0])
-        else:
-            self._omega = _PiecewiseLinear(
-                [0.0, self.t1, T], [0.0, 1.0, 1.0])
-        if self.t3 > 0:
             self._delta = _PiecewiseLinear(
                 [0.0, self.t1, self.t1 + self.t2, T],
                 [self.delta0, self.delta0, self.delta1, self.delta1])
         else:
             # no hold stage: drop the zero-width final segment, whose
             # undefined slope would poison the smoothing integrals at t = T
+            self._omega = _PiecewiseLinear(
+                [0.0, self.t1, T], [0.0, 1.0, 1.0])
             self._delta = _PiecewiseLinear(
                 [0.0, self.t1, T], [self.delta0, self.delta0, self.delta1])
 
@@ -270,7 +269,8 @@ class SweepSchedule:
                    delta0, delta1, smoothing_window)
 
     def _half_width(self, t):
-        return min(0.5 * self.smoothing_window, t, self.total_time - t)
+        w = min(0.5 * self.smoothing_window, t, self.total_time - t)
+        return w if w >= 1e-9 * self.total_time else 0.0
 
     def omega(self, t):
         self._check(t)

@@ -104,3 +104,18 @@ def test_sweep_states_are_on_the_operator_basis(cluster12, basis12, rvb12):
         assert state.amplitudes.shape == (basis12.dim,)
     final_overlap = abs(np.vdot(rvb12.amplitudes, traj.final_state.amplitudes))
     assert final_overlap == pytest.approx(traj.rvb_overlap[-1], abs=1e-14)
+
+
+def test_gate_oracle_schedule_ends_at_the_protocol_end_values():
+    # the sweep-n36 gate runs rk4_evolve at dt = 1e-4 over sweep times in
+    # [0.5, 0.6]; its last node, reached as (n - 1) h + h, can lie one ulp
+    # below T and must still read the values at T
+    bad = []
+    for total in np.round(np.random.default_rng(2718).uniform(0.5, 0.6, 400), 6):
+        s = SweepSchedule.default_protocol(float(total))
+        n = int(np.ceil(total / 1e-4))
+        h = total / n
+        t = (n - 1) * h + h
+        if abs(s.omega(t)) > 1e-12 or abs(s.delta(t) - 1.5) > 1e-12:
+            bad.append((float(total), s.omega(t), s.delta(t)))
+    assert bad == []

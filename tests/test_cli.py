@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from rvbprep import cli, entangle, tnet
+from rvbprep import cli, entangle, model, tnet
 from rvbprep.evolve import evolve_sweep
 from rvbprep.geometry import build_cluster
 from rvbprep.hilbert import abs_state
@@ -412,6 +412,33 @@ def test_sweep_manifests_record_the_k0_sector(tmp_path, op12):
                     "--config", cfg, "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["k0_sector"] == [n12]
+
+
+def test_sweeps_never_build_the_full_flip(tmp_path, monkeypatch, cluster12,
+                                         basis12, rvb12):
+    # sweeps step the zero-momentum block, whose flip is built from the
+    # orbit representatives; the full basis' flip waits for a full-basis
+    # apply, and is built once
+    full_builds = []
+    build = model._flip_matrix
+
+    def counting(basis, orbits=None):
+        if orbits is None:
+            full_builds.append(basis.dim)
+        return build(basis, orbits)
+
+    monkeypatch.setattr(model, "_flip_matrix", counting)
+    op = HamiltonianOperator(HamiltonianSpec(), basis12, cluster12)
+    evolve_sweep(op, SweepSchedule.default_protocol(1.0), rvb=rvb12,
+                 n_samples=5)
+    cfg = write_config(tmp_path, "c.json", {
+        "n_atoms": 12, "sweep_times": [1.0], "n_samples": 5})
+    assert run_cli(["sweep", "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == 0
+    assert full_builds == []
+    for _ in range(2):
+        op.apply(np.ones(op.dim), 1.0, 0.0)
+    assert full_builds == [basis12.dim]
 
 
 def test_sweep_sizes_without_n_atoms(tmp_path):

@@ -162,6 +162,16 @@ def test_rk4_matches_dense_propagator(op12, basis12):
     assert np.max(np.abs(got.amplitudes - want)) < 1e-8
 
 
+def test_rk4_converges_in_dt_up_to_the_end_of_a_sweep(basis12):
+    # at dt = 1e-4 the last node, (n - 1) h + h, lies one ulp below T, where
+    # the schedule's smoothing window has shrunk to rounding level
+    op = HamiltonianOperator(HamiltonianSpec(), basis12)
+    s = SweepSchedule.default_protocol(0.568625)
+    coarse, fine = (rk4_evolve(op, s, vacuum(basis12), dt=dt).amplitudes
+                    for dt in (1e-4, 2.5e-5))
+    assert np.max(np.abs(coarse - fine)) <= 1e-9
+
+
 # --- the zero-momentum sector ---------------------------------------------
 
 @pytest.mark.parametrize("n_atoms", [12, 24])

@@ -204,10 +204,12 @@ def test_time_at_detuning_ratio():
 
 @pytest.mark.parametrize("case, n_orbits", [
     ("pxp12", None), ("full12", None), ("pxp24", 702), ("full24", 16576),
-    ("tee36", None)])
+    ("pxp36", 22783), ("tee36", None)])
 def test_k0_sector_intertwines_with_the_full_operator(case, n_orbits):
     # H P = P H_r: the flip and both diagonals, on the preset tori, the
-    # full model's wide basis and the sheared TEE torus
+    # full model's wide basis and the sheared TEE torus.  The reduced flip
+    # is built from the orbit representatives; the oracle is P.T flip P,
+    # formed here from the full flip
     if case == "tee36":
         cluster = tee_cluster(36)
     else:
@@ -227,6 +229,14 @@ def test_k0_sector_intertwines_with_the_full_operator(case, n_orbits):
     assert np.allclose(iso.data, 1.0 / np.sqrt(sizes[iso.indices]),
                        rtol=0, atol=1e-15)
     assert abs(op.flip @ iso - iso @ red.flip).max() <= 1e-13
+    want = (iso.T @ op.flip @ iso).tocsr()
+    want.sort_indices()
+    assert red.flip.has_canonical_format
+    assert np.array_equal(red.flip.indptr, want.indptr)
+    assert np.array_equal(red.flip.indices, want.indices)
+    assert np.abs(red.flip.data - want.data).max() <= 1e-15
+    if case in ("pxp24", "full24"):
+        assert np.array_equal(red.flip.data, want.data)
     for full, reduced in ((op.n_diag, red.n_diag),
                           (op.tail_diag, red.tail_diag)):
         diag_p = iso.multiply(full[:, None])
