@@ -11,7 +11,9 @@ This demo runs the 24-atom preset, where the upper transition shows up as a
 clear interior peak while the lower boundary is only a soft shoulder --
 a finite-size precursor.  The full-scale version of this scan (N = 36,
 d-lambda = 0.0025) is the `fig1c_scan` experiment, where two dominant peaks
-bracket the liquid window.  Runs in a couple of minutes.
+bracket the liquid window.  Passing the cluster lets every ground state be
+solved in the zero-momentum sector of its torus; the scan takes about 2 s
+at one BLAS thread.
 """
 import numpy as np
 
@@ -22,7 +24,7 @@ graph = geometry.constraint_graph(cluster, r_c=2.0)
 basis = hilbert.enumerate_basis(graph)
 covers = hilbert.enumerate_maximal_covers(cluster)
 rvb = hilbert.rvb_state(covers, basis)
-op = model.HamiltonianOperator(model.HamiltonianSpec(), basis)
+op = model.HamiltonianOperator(model.HamiltonianSpec(), basis, cluster)
 
 lambdas = np.linspace(0.15, 1.2, 43)
 scan = spectrum.fidelity_susceptibility_scan(op, lambdas, rvb=rvb)

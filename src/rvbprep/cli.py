@@ -282,8 +282,9 @@ def _operator(cfg, cluster=None):
 
 
 def _record_sector(run, n_atoms, op):
-    """Add the sizes a sweep runs at to the manifest: the basis dim, and the
-    dim and flip nnz of the zero-momentum sector that it runs in."""
+    """Add the sizes a sweep or ground state runs at to the manifest: the
+    basis dim, and the dim and flip nnz of the zero-momentum sector that it
+    runs in, whose gap ``gs-scan`` reports."""
     _, red = op.k0_sector()
     run.manifest.setdefault("k0_sector", []).append({
         "n_atoms": int(n_atoms), "basis_dim": op.dim, "k0_dim": red.dim,
@@ -323,6 +324,7 @@ def cmd_gs_scan(cfg, run):
     lambdas = _grid(cfg, "lambda")
     if np.any(np.diff(lambdas) <= 0):
         raise ConfigError("lambda must be strictly increasing")
+    _record_sector(run, cluster.n_atoms, op)
     scan = fidelity_susceptibility_scan(op, lambdas, rvb=rvb)
     write_csv(run.path("gs_scan.csv"),
               ["lambda", "energy", "gap", "rvb_overlap",
@@ -394,6 +396,9 @@ def cmd_fit(cfg, run):
     cluster, basis, covers, op = _operator(cfg)
     ratios = _grid(cfg, "delta_over_omega")
     source = cfg.get("source", "groundstate")
+    if source not in ("groundstate", "sweep"):
+        raise ConfigError("source must be groundstate or sweep")
+    _record_sector(run, cluster.n_atoms, op)
     snapshots = []
     if source == "groundstate":
         v0 = None
@@ -401,15 +406,12 @@ def cmd_fit(cfg, run):
             gs = groundstate(op, 1.0, float(r), v0=v0)
             v0 = gs.state.amplitudes
             snapshots.append((float(r), gs.state))
-    elif source == "sweep":
+    else:
         schedule = _make_schedule(cfg, _need(cfg, "total_time", (int, float)))
         checks = [schedule.time_at_detuning_ratio(float(r)) for r in ratios]
-        _record_sector(run, cluster.n_atoms, op)
         traj = evolve_sweep(op, schedule, checkpoints=checks)
         for r, t in zip(ratios, checks):
             snapshots.append((float(r), traj.snapshots[t]))
-    else:
-        raise ConfigError("source must be groundstate or sweep")
     results = fit_trajectory(snapshots, covers, basis)
     rows = []
     for label, fit in results:

@@ -56,11 +56,16 @@ class ConstrainedBasis:
             raise BasisError("some configurations not in basis")
         return idx
 
-    def contains(self, configs):
+    def positions(self, configs):
+        """Index of each configuration, or -1 where it is not in the basis."""
         configs = np.asarray(configs, dtype=np.uint64)
         idx = np.searchsorted(self.configs, configs)
-        idx = np.minimum(idx, self.dim - 1)
-        return self.configs[idx] == configs
+        np.minimum(idx, self.dim - 1, out=idx)
+        idx[self.configs[idx] != configs] = -1
+        return idx
+
+    def contains(self, configs):
+        return self.positions(configs) >= 0
 
 
 @dataclass
@@ -201,18 +206,37 @@ def translation_orbits(basis, cluster=None):
     normalized k = 0 orbit states and P.T @ P = 1; reps holds the basis
     index of each orbit's label, its smallest index, in ascending order.
     Without a cluster the only translation is the identity and P = 1.
+
+    Each configuration is labelled by its canonical configuration, the
+    smallest of its translated images; the images are assembled from one
+    256-entry table of permuted words per byte of the configuration word.
     """
-    labels = np.arange(basis.dim)
-    if cluster is not None:
+    if cluster is None:
+        reps = np.arange(basis.dim)
+        column = reps
+    else:
+        canon = basis.configs.copy()
+        image = np.empty_like(canon)
+        n_bytes = (basis.n_atoms + 7) // 8
+        # column b holds bits 8b .. 8b + 7 of each word
+        octets = basis.configs.astype("<u8", copy=False).view(np.uint8)
+        octets = octets.reshape(-1, 8)
+        values = np.arange(256, dtype=np.uint64)
         for d1 in range(cluster.n1):
             for d2 in range(cluster.n2):
                 perm = cluster.translate_atoms(d1, d2)
-                image = np.zeros(basis.dim, dtype=np.uint64)
-                for i, j in enumerate(perm):
-                    bit = (basis.configs >> np.uint64(i)) & np.uint64(1)
-                    image |= bit << np.uint64(j)
-                np.minimum(labels, basis.indices_of(image), out=labels)
-    reps, column = np.unique(labels, return_inverse=True)
+                image[:] = 0
+                for b in range(n_bytes):
+                    # table[v] = image of the word whose byte b is v
+                    table = np.zeros(256, dtype=np.uint64)
+                    for k, j in enumerate(perm[8 * b:8 * b + 8]):
+                        table |= ((values >> np.uint64(k)) & np.uint64(1)) \
+                            << np.uint64(j)
+                    image |= table[octets[:, b]]
+                np.minimum(canon, image, out=canon)
+        labels, column = np.unique(canon, return_inverse=True)
+        # an orbit's smallest configuration is its smallest basis index
+        reps = basis.indices_of(labels)
     sizes = np.bincount(column)
     iso = sp.csr_matrix((1.0 / np.sqrt(sizes[column]),
                          (np.arange(basis.dim), column)),

@@ -20,6 +20,7 @@ from .hilbert import ConstrainedBasis, translation_orbits
 
 SQRT13 = math.sqrt(13.0)
 DEFAULT_BLOCKADE_RADIUS = 2.4
+FLIP_BLOCK = 1 << 16     # (representative, atom) pairs per block of flip rows
 
 PXP = "PXP"
 FULL_RYDBERG = "FullRydberg"
@@ -148,30 +149,60 @@ def _flip_matrix(basis, orbits=None):
     """Symmetric matrix of the single legal flips between configurations.
 
     With ``orbits``, the (P, reps) of ``hilbert.translation_orbits``, it is
-    P.T @ flip @ P, built from the representatives alone: orbits a and b
-    get n_ab * w_a * w_b, with w = 1/sqrt(|orbit|) and n_ab = m_ab * |O_a|
-    the flips between them, m_ab of them from a's representative.  Without,
-    P = 1: every configuration is its own orbit and every weight is 1.
+    P.T @ flip @ P, built from the representatives alone, one row per
+    orbit: row a gets n_ab * w_a * w_b at orbit b, with w = 1/sqrt(|orbit|)
+    and n_ab = m_ab * |O_a| the flips between the two orbits, m_ab of them
+    from a's representative (n_ab = n_ba, so the matrix is exactly
+    symmetric).  Without, P = 1: every configuration is its own orbit and
+    every weight is 1.
+
+    The rows are built in blocks of about FLIP_BLOCK (representative, atom)
+    pairs, twice: once to count each row's entries, once to write them into
+    the CSR arrays, so that the working arrays stay the size of one block.
     """
     iso, reps = translation_orbits(basis) if orbits is None else orbits
     orbit = iso.indices                 # P has one entry per row
     sizes = np.bincount(orbit).astype(np.float64)
     weight = 1.0 / np.sqrt(sizes)
-    sources = basis.configs[reps]
-    rows, cols = [], []
-    for i in range(basis.n_atoms):
-        partner = sources ^ np.uint64(1 << i)
-        down = (sources >> np.uint64(i)) & np.uint64(1) == 1
-        ok = basis.contains(partner)
-        # record only the downward flip; symmetrize below
-        sel = down & ok
-        rows.append(orbit[basis.indices_of(partner[sel])])
-        cols.append(np.nonzero(sel)[0])
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    # duplicates sum to n_ab, an exact integer
-    x = sp.csr_matrix((sizes[cols], (rows, cols)), shape=(len(reps), len(reps)))
-    x.data *= weight[x.indices] * np.repeat(weight, np.diff(x.indptr))
-    return (x + x.T).tocsr()
+    n_reps, n_atoms = len(reps), basis.n_atoms
+    bits = np.uint64(1) << np.arange(n_atoms, dtype=np.uint64)
+    step = max(1, FLIP_BLOCK // n_atoms)
+    blocks = [slice(lo, min(lo + step, n_reps)) for lo in range(0, n_reps, step)]
+
+    def partners(rows):
+        """The orbits reached by flipping each atom of each representative,
+        ascending per row, -1 for an illegal flip; and the first entry of
+        each run of one orbit."""
+        pos = basis.positions(bits[:, None] ^ basis.configs[reps[rows]])
+        orbits_of = np.where(pos >= 0, orbit[pos], -1).T.copy()
+        orbits_of.sort(axis=1)
+        first = orbits_of >= 0
+        first[:, 1:] &= orbits_of[:, 1:] != orbits_of[:, :-1]
+        return orbits_of, first
+
+    index = orbit.dtype if n_reps * n_atoms < 2**31 else np.int64
+    indptr = np.zeros(n_reps + 1, dtype=index)
+    for rows in blocks:
+        indptr[rows.start + 1:rows.stop + 1] = partners(rows)[1].sum(axis=1)
+    np.cumsum(indptr, out=indptr)
+    indices = np.empty(indptr[-1], dtype=index)
+    data = np.empty(indptr[-1])
+    for rows in blocks:
+        orbits_of, first = partners(rows)
+        # m_ab: each run of one orbit ends at the next one or its row's end
+        at = np.flatnonzero(first)
+        ends = np.append(at[1:], first.size)
+        m_ab = np.minimum(ends, (at // n_atoms + 1) * n_atoms) - at
+        count = np.diff(indptr[rows.start:rows.stop + 1])
+        out = slice(indptr[rows.start], indptr[rows.stop])
+        cols = indices[out] = orbits_of.ravel()[at]
+        values = weight[cols]
+        values *= np.repeat(weight[rows], count)
+        n_ab = np.repeat(sizes[rows], count)
+        n_ab *= m_ab
+        values *= n_ab
+        data[out] = values
+    return sp.csr_matrix((data, indices, indptr), shape=(n_reps, n_reps))
 
 
 def diagonal_interaction(basis, cluster, constraint_radius, cutoff):

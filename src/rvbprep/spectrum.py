@@ -49,55 +49,67 @@ def _fix_phase(vec):
 
 
 def groundstate(op, omega, delta, tol=1e-10, v0=None):
-    """Lowest eigenpair of H(omega, delta) with the first gap.
+    """Lowest eigenpair of H(omega, delta) with the gap above it, both in
+    the zero-momentum sector of ``op.k0_sector``.
 
-    Diagonal Hamiltonians (omega = 0) are solved exactly; small dimensions
-    use dense diagonalization; otherwise restarted Lanczos (ARPACK) with an
+    The gauge psi_c -> (-1)^{n_c} psi_c makes every off-diagonal entry of H
+    non-positive, and single flips connect every configuration to the
+    vacuum, so for omega > 0 the ground state is unique and, in that gauge,
+    positive (Perron-Frobenius); translations keep n_c, so it has k = 0 and
+    the sector's E0 and state are those of the full basis.  ``gap`` is the
+    k = 0 gap, never smaller than the full one.  ``v0`` lies on ``op.basis``
+    and the state is expanded back onto it.  Without a cluster P = 1.
+
+    Diagonal Hamiltonians (omega = 0) are solved exactly, and ``degeneracy``
+    then counts the k = 0 states at the lowest energy; small sectors use
+    dense diagonalization; otherwise restarted Lanczos (ARPACK) with an
     explicit residual check.
     """
     from .hilbert import StateVector
 
-    dim = op.dim
+    iso, red = op.k0_sector()
+    dim = red.dim
     if omega == 0.0:
-        diag = op.tail_diag - delta * op.n_diag
+        diag = red.tail_diag - delta * red.n_diag
         order = np.argsort(diag, kind="stable")
         e0 = float(diag[order[0]])
         mult = int(np.sum(diag <= e0 + DEGENERACY_GAP))
         above = diag[diag > e0 + DEGENERACY_GAP]
         gap = float(np.min(above) - e0) if len(above) else np.inf
-        amps = np.zeros(dim, dtype=np.complex128)
+        amps = np.zeros(dim)
         amps[order[0]] = 1.0
-        return GroundstateResult(e0, StateVector(op.basis, amps), gap,
+        return GroundstateResult(e0, StateVector(op.basis, iso @ amps), gap,
                                  mult > 1, 0.0, mult)
 
     if dim <= DENSE_CUTOFF:
-        evals, evecs = np.linalg.eigh(op.dense(omega, delta))
-        vec = _fix_phase(evecs[:, 0].astype(np.complex128))
+        evals, evecs = np.linalg.eigh(red.dense(omega, delta))
+        vec = evecs[:, 0]
         e0 = float(evals[0])
         gap = float(evals[1] - evals[0]) if dim > 1 else np.inf
     else:
         # H is real symmetric: ARPACK's real Lanczos driver, on real vectors
-        lin = op.aslinearoperator(omega, delta)
+        lin = red.aslinearoperator(omega, delta)
         if v0 is None:
             # ARPACK would draw its own random start, different in every
             # call and process; a seeded one keeps reruns byte-identical
             v0 = np.random.default_rng(START_SEED).uniform(-1.0, 1.0, dim)
         else:
-            v0 = np.asarray(v0).real.astype(np.float64)
+            v0 = iso.T @ np.asarray(v0).real.astype(np.float64)
         evals, evecs = spla.eigsh(lin, k=2, which="SA", tol=tol,
                                   maxiter=MAX_ITER, v0=v0)
         order = np.argsort(evals)
         e0 = float(evals[order[0]])
         gap = float(evals[order[1]] - e0)
-        vec = _fix_phase(evecs[:, order[0]])
+        vec = evecs[:, order[0]]
 
-    res = float(np.linalg.norm(op.apply(vec, omega, delta) - e0 * vec))
+    # P is an isometry with H P = P H_r: the residual is the full basis' one
+    res = float(np.linalg.norm(red.apply(vec, omega, delta) - e0 * vec))
     if res > max(tol, 1e-9) * max(1.0, abs(e0)):
         raise SpectrumError(
             "groundstate residual %.2e did not reach tolerance" % res)
     mult = 2 if gap < DEGENERACY_GAP else 1
-    return GroundstateResult(e0, StateVector(op.basis, vec), gap,
-                             gap < DEGENERACY_GAP, res, mult)
+    state = StateVector(op.basis, _fix_phase(iso @ vec.astype(np.complex128)))
+    return GroundstateResult(e0, state, gap, gap < DEGENERACY_GAP, res, mult)
 
 
 def fidelity_susceptibility_scan(op, lambdas, dlambda=0.0025, rvb=None,
@@ -105,8 +117,10 @@ def fidelity_susceptibility_scan(op, lambdas, dlambda=0.0025, rvb=None,
     """F(lambda) over a sorted lambda grid at fixed Omega = 1.
 
     Degenerate grid points are flagged and their F left as NaN rather than
-    averaged over the manifold.  Every row is a cold solve, so its gap is
-    the full spectral gap and it equals the one-row scan at its lambda: a
+    averaged over the manifold.  Every solve runs in the zero-momentum
+    sector (``groundstate``), so ``gaps`` holds k = 0 gaps, which are never
+    below the full spectral gaps.  Every row is a cold solve, so it equals
+    the one-row scan at its lambda; on an operator without a cluster a
     start vector from the previous row would keep Lanczos in that row's
     symmetry sector.  The lambda + dlambda partner starts from its own row.
     """

@@ -13,7 +13,7 @@ from rvbprep.evolve import evolve_sweep
 from rvbprep.geometry import build_cluster
 from rvbprep.hilbert import abs_state
 from rvbprep.model import HamiltonianOperator, HamiltonianSpec, SweepSchedule
-from rvbprep.spectrum import fidelity_susceptibility_scan
+from rvbprep.spectrum import fidelity_susceptibility_scan, groundstate
 
 from conftest import golden_path, read_csv
 
@@ -131,6 +131,12 @@ def test_gs_scan_csv(tmp_path, op12, rvb12):
         assert [float(x) for x in line.split(",")] == [
             scan.lambdas[i], scan.energies[i], scan.gaps[i],
             scan.rvb_overlaps[i], scan.susceptibilities[i]]
+    # the manifest names the zero-momentum sector that the gap belongs to
+    _, red = op12.k0_sector()
+    manifest = json.loads(open(os.path.join(out, "manifest.json")).read())
+    assert manifest["k0_sector"] == [{
+        "n_atoms": 12, "basis_dim": op12.dim, "k0_dim": red.dim,
+        "k0_nnz": red.flip.nnz}]
 
 
 def test_trajectory_csv(tmp_path, op12, rvb12):
@@ -214,6 +220,8 @@ def test_fit_verb(tmp_path):
     assert np.allclose(cols["delta_over_omega"], [0.8, 1.2])
     assert np.all(cols["overlap"] > 0.9)
     assert list(cols["converged"]) == [1.0, 1.0]
+    manifest = json.loads(open(os.path.join(out, "manifest.json")).read())
+    assert [r["n_atoms"] for r in manifest["k0_sector"]] == [12]
 
 
 def test_tn_grid_modes_agree(tmp_path):
@@ -415,10 +423,10 @@ def test_sweep_manifests_record_the_k0_sector(tmp_path, op12):
 
 
 def test_sweeps_never_build_the_full_flip(tmp_path, monkeypatch, cluster12,
-                                         basis12, rvb12):
-    # sweeps step the zero-momentum block, whose flip is built from the
-    # orbit representatives; the full basis' flip waits for a full-basis
-    # apply, and is built once
+                                         basis12, rvb12, cluster24, basis24):
+    # sweeps and ground states work in the zero-momentum block, whose flip
+    # is built from the orbit representatives; the full basis' flip waits
+    # for a full-basis apply, and is built once
     full_builds = []
     build = model._flip_matrix
 
@@ -435,6 +443,19 @@ def test_sweeps_never_build_the_full_flip(tmp_path, monkeypatch, cluster12,
         "n_atoms": 12, "sweep_times": [1.0], "n_samples": 5})
     assert run_cli(["sweep", "--config", cfg,
                     "--out", str(tmp_path / "out")]) == 0
+    # the dense branch at N = 12 (30 orbits) and ARPACK at N = 24 (702)
+    groundstate(op, 1.0, 1.2)
+    groundstate(op, 0.0, 1.2)
+    groundstate(HamiltonianOperator(HamiltonianSpec(), basis24, cluster24),
+                1.0, 1.2)
+    cfg = write_config(tmp_path, "g.json", {"n_atoms": 12,
+                                            "lambda": [0.6, 0.8]})
+    assert run_cli(["gs-scan", "--config", cfg,
+                    "--out", str(tmp_path / "scan")]) == 0
+    cfg = write_config(tmp_path, "f.json", {
+        "n_atoms": 12, "delta_over_omega": [0.8, 1.2]})
+    assert run_cli(["fit", "--config", cfg,
+                    "--out", str(tmp_path / "fit")]) == 0
     assert full_builds == []
     for _ in range(2):
         op.apply(np.ones(op.dim), 1.0, 0.0)

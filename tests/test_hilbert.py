@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from rvbprep.geometry import build_cluster, constraint_graph
+from rvbprep.geometry import (build_cluster, cluster_preset, constraint_graph,
+                              tee_cluster)
 from rvbprep.hilbert import (BasisError, abs_state, enumerate_basis,
                              enumerate_maximal_covers, full_basis,
-                             project_to_subspace, rvb_state, StateVector)
+                             project_to_subspace, rvb_state, StateVector,
+                             translation_orbits)
 
 
 def brute_force_basis(graph):
@@ -43,6 +46,12 @@ def test_indices_and_contains(basis12):
     inside = basis12.contains(sub)
     assert inside.all()
     assert not basis12.contains([np.uint64((1 << 12) - 1)]).any()
+    # positions keeps the shape: the index, or -1 past the last
+    # configuration and in a gap (3 has two neighbouring atoms excited)
+    probe = np.array([[basis12.configs[3], (1 << 12) - 1],
+                      [basis12.configs[-1], 3]], np.uint64)
+    assert basis12.positions(probe).tolist() == [[3, -1],
+                                                 [basis12.dim - 1, -1]]
 
 
 def test_cover_counts_scale_with_cells():
@@ -137,3 +146,39 @@ def test_full_basis():
     fb = full_basis(10)
     assert fb.dim == 1024
     assert fb.popcounts.max() == 10
+
+
+def per_bit_orbits(basis, cluster):
+    """(P, reps) of translation_orbits, each translated image assembled bit
+    by bit and each orbit labelled by the smallest basis index it reaches
+    (oracle)."""
+    labels = np.arange(basis.dim)
+    for d1 in range(cluster.n1):
+        for d2 in range(cluster.n2):
+            image = np.zeros(basis.dim, dtype=np.uint64)
+            for i, j in enumerate(cluster.translate_atoms(d1, d2)):
+                bit = (basis.configs >> np.uint64(i)) & np.uint64(1)
+                image |= bit << np.uint64(j)
+            np.minimum(labels, basis.indices_of(image), out=labels)
+    reps, column = np.unique(labels, return_inverse=True)
+    sizes = np.bincount(column)
+    iso = sp.csr_matrix((1.0 / np.sqrt(sizes[column]),
+                         (np.arange(basis.dim), column)),
+                        shape=(basis.dim, len(reps)))
+    return iso, reps
+
+
+@pytest.mark.parametrize("case, radius", [
+    ("12", 2.0), ("12", 1.0), ("24", 2.0), ("24", 1.0), ("36", 2.0),
+    ("tee36", 2.0)])
+def test_translation_orbits_match_the_per_bit_oracle(case, radius):
+    # the PXP (radius 2) and full-model (radius 1) bases of the presets, and
+    # the sheared TEE torus
+    cluster = tee_cluster(36) if case == "tee36" else cluster_preset(int(case))
+    basis = enumerate_basis(constraint_graph(cluster, radius))
+    iso, reps = translation_orbits(basis, cluster)
+    want_iso, want_reps = per_bit_orbits(basis, cluster)
+    assert np.array_equal(reps, want_reps)
+    assert iso.shape == want_iso.shape
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(iso, name), getattr(want_iso, name))
