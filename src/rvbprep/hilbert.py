@@ -29,6 +29,7 @@ class ConstrainedBasis:
     configs: np.ndarray               # sorted uint64
     radius: float = 0.0               # constraint radius used (0 = none)
     _popcounts: np.ndarray = field(default=None, repr=False)
+    _cuts: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.configs = np.ascontiguousarray(self.configs, dtype=np.uint64)
@@ -42,6 +43,27 @@ class ConstrainedBasis:
         if self._popcounts is None:
             self._popcounts = np.bitwise_count(self.configs).astype(np.int64)
         return self._popcounts
+
+    def cut(self, mask):
+        """(ridx, cidx, nr, nc) of the bipartition of the atoms by ``mask``.
+
+        Each configuration's restriction to one side is numbered among that
+        side's nr distinct restrictions (ridx, int32), and its restriction to
+        the other side among the nc of those (cidx); the side with fewer
+        restrictions comes first.  Cached per mask, and a mask and its
+        complement share one entry.
+        """
+        full = (1 << self.n_atoms) - 1
+        key = min(int(mask), full & ~int(mask))
+        if key not in self._cuts:
+            sides = []
+            for m in (key, full & ~key):
+                vals, idx = np.unique(self.configs & np.uint64(m),
+                                      return_inverse=True)
+                sides.append((idx.astype(np.int32), len(vals)))
+            (ridx, nr), (cidx, nc) = sorted(sides, key=lambda side: side[1])
+            self._cuts[key] = (ridx, cidx, nr, nc)
+        return self._cuts[key]
 
     def index_of(self, config):
         idx = int(np.searchsorted(self.configs, np.uint64(config)))

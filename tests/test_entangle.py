@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from rvbprep import entangle
 from rvbprep.entangle import (EntangleError, entanglement_entropy,
                               topological_entropy_report)
-from rvbprep.hilbert import StateVector, full_basis
+from rvbprep.geometry import cluster_preset, constraint_graph
+from rvbprep.hilbert import StateVector, enumerate_basis, full_basis
 
 
 def dense_rdm_entropy(psi, region):
@@ -29,6 +31,17 @@ def random_state8():
     rng = np.random.default_rng(41)
     amps = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
     return StateVector(basis, amps / np.linalg.norm(amps))
+
+
+@pytest.fixture(scope="module")
+def blockade12():
+    """The N = 12 preset's radius-2 basis, a copy of its own, so that the
+    cuts of this module start cold."""
+    return enumerate_basis(constraint_graph(cluster_preset(12), 2.0))
+
+
+def _mask(region):
+    return sum(1 << a for a in region)
 
 
 def test_bell_pair_gives_ln2():
@@ -101,3 +114,83 @@ def test_report_and_serialization(random_state8):
     assert rep.entropy == c["ABC"]
     assert rep.n_atoms == 6
 
+
+def test_real_amplitudes_take_the_real_path(monkeypatch):
+    basis = full_basis(8)
+    amps = np.random.default_rng(5).standard_normal(basis.dim)
+    psi = StateVector(basis, amps / np.linalg.norm(amps))
+    regions = ([0], [0, 3], [1, 2, 5], [0, 1, 2, 3, 4])
+    want = [dense_rdm_entropy(psi, region) for region in regions]
+    grams = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a):
+        grams.append(a.dtype)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    for region, entropy in zip(regions, want):
+        rep = entanglement_entropy(psi, region)
+        assert rep.entropy == pytest.approx(entropy, abs=1e-10)
+    assert grams == [np.float64] * 4
+    # one imaginary part makes the whole state complex
+    amps = psi.amplitudes.copy()
+    amps[3] += 1e-3j
+    entanglement_entropy(StateVector(basis, amps), [0, 3])
+    assert grams[-1] == np.complex128
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_constrained_basis_matches_dense_rdm(blockade12, kind):
+    rng = np.random.default_rng(17)
+    amps = rng.standard_normal(blockade12.dim)
+    if kind == "complex":
+        amps = amps + 1j * rng.standard_normal(blockade12.dim)
+    psi = StateVector(blockade12, amps)
+    for region in ([0], [0, 1, 2], [0, 4, 7, 9], [1, 3, 5, 6, 8, 10],
+                   list(range(11))):
+        ridx, cidx, nr, nc = blockade12.cut(_mask(region))
+        # a sparse bipartition: some (region, complement) pairs are blocked
+        assert nr * nc > blockade12.dim
+        rep = entanglement_entropy(psi, region)
+        assert rep.entropy == pytest.approx(dense_rdm_entropy(psi, region),
+                                            abs=1e-10)
+
+
+def test_budget_bounds_the_coefficient_matrix(monkeypatch, random_state8):
+    # region [0] of 8 atoms: a 2 x 128 coefficient matrix, 2 KiB real and
+    # 4 KiB complex; its 2 x 2 Gram matrix would fit any of these budgets
+    real = StateVector(random_state8.basis, random_state8.amplitudes.real)
+    monkeypatch.setattr(entangle, "GRAM_BUDGET_GIB", 3 * 2 ** 10 / 2 ** 30)
+    entanglement_entropy(real, [0])
+    with pytest.raises(EntangleError, match="coefficient matrix of 2 x 128"):
+        entanglement_entropy(random_state8, [0])
+    monkeypatch.setattr(entangle, "GRAM_BUDGET_GIB", 2 ** 10 / 2 ** 30)
+    with pytest.raises(EntangleError, match="exceeds the"):
+        entanglement_entropy(real, [0])
+
+
+def test_cuts_are_cached_per_basis(blockade12):
+    rng = np.random.default_rng(23)
+    psi = StateVector(blockade12, rng.standard_normal(blockade12.dim))
+    regions = ([0, 1], [2, 3], [4, 5])
+    first = topological_entropy_report(psi, regions)
+    cached = topological_entropy_report(psi, regions)
+    assert cached.components == first.components
+    assert cached.gamma == first.gamma
+    full = (1 << 12) - 1
+    for region in ([0, 1], [0, 1, 2, 3, 4, 5], [2, 3, 4, 5, 6, 7, 8]):
+        mask = _mask(region)
+        ridx, cidx, nr, nc = blockade12.cut(mask)
+        assert ridx.dtype == cidx.dtype == np.int32
+        sides = [np.unique(blockade12.configs & np.uint64(m),
+                           return_inverse=True)
+                 for m in (mask, full & ~mask)]
+        if len(sides[1][0]) < len(sides[0][0]):
+            sides.reverse()
+        (rvals, want_r), (cvals, want_c) = sides
+        assert (nr, nc) == (len(rvals), len(cvals)) and nr <= nc
+        assert np.array_equal(ridx, want_r)
+        assert np.array_equal(cidx, want_c)
+        # the complement is the same bipartition, from the same entry
+        assert blockade12.cut(full & ~mask) is blockade12.cut(mask)
