@@ -19,7 +19,8 @@ rvb = hilbert.rvb_state(covers, basis)
 print("atoms: %d   basis states: %d   maximal covers: %d"
       % (cluster.n_atoms, basis.dim, covers.count))
 
-# with its cluster the operator sweeps in the zero-momentum sector
+# with its cluster the operator sweeps in the sector symmetric under
+# the torus's whole symmetry group
 op = model.HamiltonianOperator(model.HamiltonianSpec(), basis, cluster)
 
 print("\n%8s %10s %12s %12s" % ("T", "T/N", "|<RVB|psi>|", "norm drift"))

@@ -12,8 +12,8 @@ clear interior peak while the lower boundary is only a soft shoulder --
 a finite-size precursor.  The full-scale version of this scan (N = 36,
 d-lambda = 0.0025) is the `fig1c_scan` experiment, where two dominant peaks
 bracket the liquid window.  Passing the cluster lets every ground state be
-solved in the zero-momentum sector of its torus; the scan takes about 2 s
-at one BLAS thread.
+solved in the sector symmetric under its torus's whole symmetry group (74
+of the 2649 states); the demo takes under 1 s at one BLAS thread.
 """
 import numpy as np
 

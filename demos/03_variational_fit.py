@@ -17,7 +17,8 @@ graph = geometry.constraint_graph(cluster, r_c=2.0)
 basis = hilbert.enumerate_basis(graph)
 covers = hilbert.enumerate_maximal_covers(cluster)
 rvb = hilbert.rvb_state(covers, basis)
-# with its cluster the operator sweeps in the zero-momentum sector
+# with its cluster the operator sweeps in the sector symmetric under
+# the torus's whole symmetry group
 op = model.HamiltonianOperator(model.HamiltonianSpec(), basis, cluster)
 
 print("%8s %8s %10s %10s %10s" % ("T", "limb", "|z1|", "|z2|", "overlap"))

@@ -282,13 +282,18 @@ def _operator(cfg, cluster=None):
 
 
 def _record_sector(run, n_atoms, op):
-    """Add the sizes a sweep or ground state runs at to the manifest: the
-    basis dim, and the dim and flip nnz of the zero-momentum sector that it
-    runs in, whose gap ``gs-scan`` reports."""
-    _, red = op.k0_sector()
-    run.manifest.setdefault("k0_sector", []).append({
-        "n_atoms": int(n_atoms), "basis_dim": op.dim, "k0_dim": red.dim,
-        "k0_nnz": int(red.flip.nnz)})
+    """Build the fully symmetric sector that a sweep or ground state runs
+    in, and add its sizes to the manifest: the basis dim, the order of the
+    cluster's symmetry group, the sector's dim and flip nnz, and the wall
+    time of the build (``sector_s``).  ``gs-scan`` reports this sector's
+    gap."""
+    t0 = time.perf_counter()
+    _, red = op.sector()
+    run.manifest.setdefault("sector", []).append({
+        "n_atoms": int(n_atoms), "basis_dim": op.dim,
+        "group_order": len(op.cluster.symmetries),
+        "sector_dim": red.dim, "sector_nnz": int(red.flip.nnz),
+        "sector_s": round(time.perf_counter() - t0, 3)})
     run._write()
 
 

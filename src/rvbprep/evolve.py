@@ -124,14 +124,15 @@ def evolve_sweep(op, schedule, psi0=None, rvb=None, dt_max=0.5, local_tol=1e-9,
     ``CALIB_INTERVAL`` accepted steps the step size is recalibrated by
     comparing one full step against two half steps.
 
-    H, the vacuum and the RVB state are translation-invariant, so the sweep
-    runs in the zero-momentum sector of ``op.k0_sector``: psi0 must lie in
-    it, observables are read there, and the snapshots and the final state
-    are expanded back onto ``op.basis``.  ``rk4_evolve`` stays on the full
-    basis as the oracle.
+    H and the vacuum are invariant under every symmetry of the cluster, so
+    the sweep runs in the fully symmetric sector of ``op.sector``: psi0 must
+    lie in it, observables are read there, and the snapshots and the final
+    state are expanded back onto ``op.basis``.  The RVB overlap is read
+    through P.T, so it is exact for any ``rvb``.  ``rk4_evolve`` stays on
+    the full basis as the oracle.
     """
     basis = op.basis
-    iso, red = op.k0_sector()
+    iso, red = op.sector()
     if psi0 is None:
         amps = np.zeros(basis.dim, dtype=np.complex128)
         amps[basis.index_of(0)] = 1.0
@@ -139,9 +140,9 @@ def evolve_sweep(op, schedule, psi0=None, rvb=None, dt_max=0.5, local_tol=1e-9,
     psi = iso.T @ psi0.amplitudes
     leak = float(np.linalg.norm(iso @ psi - psi0.amplitudes))
     if leak > 1e-12:
-        raise EvolveError("psi0 is not translation-invariant: a component "
-                          "of norm %.2e lies outside the zero-momentum "
-                          "sector" % leak)
+        raise EvolveError("psi0 is not symmetric: a component of norm "
+                          "%.2e lies outside the fully symmetric sector"
+                          % leak)
     T = schedule.total_time
 
     samples = np.linspace(0.0, T, n_samples)

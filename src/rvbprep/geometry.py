@@ -11,6 +11,7 @@ indices and on-disk artifacts deterministic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -101,6 +102,39 @@ class Cluster:
                 for k in range(6):
                     perm[self.atom_id(i1, i2, k)] = self.atom_id(i1 + d1, i2 + d2, k)
         return perm
+
+    @functools.cached_property
+    def symmetries(self):
+        """Every atom permutation that preserves ``pair_distances``.
+
+        An (order, N) int64 array, one permutation perm per row (atom i goes
+        to perm[i]), in lexicographic order, so the identity comes first.
+        The constraint graph and the interaction tails are functions of the
+        distances alone, so each permutation commutes with the Hamiltonian;
+        the group holds the torus's translations and the point operations
+        that map it to itself.  Found by backtracking atom by atom: atom k's
+        image must keep its distances to the images of atoms 0 .. k-1.
+        Computed on first use.
+        """
+        dist = self.pair_distances
+        n = self.n_atoms
+        perms = []
+        perm = np.zeros(n, dtype=np.int64)
+        free = np.ones(n, dtype=bool)
+
+        def place(k):
+            if k == n:
+                perms.append(perm.copy())
+                return
+            keeps = np.abs(dist[:, perm[:k]] - dist[k, :k]) <= DIST_TOL
+            for j in np.flatnonzero(free & keeps.all(axis=1)):
+                perm[k] = j
+                free[j] = False
+                place(k + 1)
+                free[j] = True
+
+        place(0)
+        return np.array(perms)
 
 
 @dataclass

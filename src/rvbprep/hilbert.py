@@ -13,6 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 BASIS_BUDGET_GIB = 8.0
+ORBIT_BLOCK = 1 << 15     # (configuration, permutation) pairs per block
 
 
 class CapacityError(MemoryError):
@@ -220,42 +221,48 @@ def cover_bitsets(cluster):
     return sorted(covers)
 
 
-def translation_orbits(basis, cluster=None):
-    """The isometry onto the zero-momentum sector of the cluster's torus.
+def symmetry_orbits(basis, perms=()):
+    """The isometry onto the sector symmetric under a group of atom
+    permutations.
 
+    ``perms`` holds the group, one permutation per row (atom i goes to
+    perm[i]), e.g. ``Cluster.symmetries``; it must map the basis to itself.
     Returns (P, reps): P is the real CSR matrix of shape (dim, n_orbits)
     with P[c, a] = 1/sqrt(|orbit a|), so that its columns are the
-    normalized k = 0 orbit states and P.T @ P = 1; reps holds the basis
-    index of each orbit's label, its smallest index, in ascending order.
-    Without a cluster the only translation is the identity and P = 1.
+    normalized orbit sums and P.T @ P = 1; reps holds the basis index of
+    each orbit's label, its smallest index, in ascending order.  Without
+    permutations every configuration is its own orbit and P = 1.
 
     Each configuration is labelled by its canonical configuration, the
-    smallest of its translated images; the images are assembled from one
-    256-entry table of permuted words per byte of the configuration word.
+    smallest of its images.  The images are assembled from one 256-entry
+    table of permuted words per byte of the configuration word and per
+    permutation, over blocks of about ORBIT_BLOCK (configuration,
+    permutation) pairs, so that the working arrays stay in cache.
     """
-    if cluster is None:
+    if len(perms) == 0:
         reps = np.arange(basis.dim)
         column = reps
     else:
-        canon = basis.configs.copy()
-        image = np.empty_like(canon)
+        perms = np.asarray(perms, dtype=np.uint64)
         n_bytes = (basis.n_atoms + 7) // 8
+        # tables[b][g, v] = image under perms[g] of the word whose byte b is v
+        values = np.arange(256, dtype=np.uint64)
+        tables = np.zeros((n_bytes, len(perms), 256), dtype=np.uint64)
+        for i in range(basis.n_atoms):
+            b, k = divmod(i, 8)
+            tables[b] |= ((values >> np.uint64(k)) & np.uint64(1)) \
+                << perms[:, i, None]
         # column b holds bits 8b .. 8b + 7 of each word
         octets = basis.configs.astype("<u8", copy=False).view(np.uint8)
         octets = octets.reshape(-1, 8)
-        values = np.arange(256, dtype=np.uint64)
-        for d1 in range(cluster.n1):
-            for d2 in range(cluster.n2):
-                perm = cluster.translate_atoms(d1, d2)
-                image[:] = 0
-                for b in range(n_bytes):
-                    # table[v] = image of the word whose byte b is v
-                    table = np.zeros(256, dtype=np.uint64)
-                    for k, j in enumerate(perm[8 * b:8 * b + 8]):
-                        table |= ((values >> np.uint64(k)) & np.uint64(1)) \
-                            << np.uint64(j)
-                    image |= table[octets[:, b]]
-                np.minimum(canon, image, out=canon)
+        canon = np.empty_like(basis.configs)
+        step = max(1, ORBIT_BLOCK // len(perms))
+        for lo in range(0, basis.dim, step):
+            block = octets[lo:lo + step]
+            image = tables[0][:, block[:, 0]]
+            for b in range(1, n_bytes):
+                image |= tables[b][:, block[:, b]]
+            image.min(axis=0, out=canon[lo:lo + step])
         labels, column = np.unique(canon, return_inverse=True)
         # an orbit's smallest configuration is its smallest basis index
         reps = basis.indices_of(labels)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .hilbert import ConstrainedBasis, translation_orbits
+from .hilbert import ConstrainedBasis, symmetry_orbits
 
 SQRT13 = math.sqrt(13.0)
 DEFAULT_BLOCKADE_RADIUS = 2.4
@@ -63,8 +63,9 @@ class HamiltonianOperator:
 
     The diagonal vectors are assembled once and the single-bit-flip
     structure X on first use; apply() is then one real sparse product and
-    two vector scalings.  H commutes with the translations of the cluster's
-    torus, and ``k0_sector`` gives its block in the zero-momentum sector.
+    two vector scalings.  H commutes with every atom permutation that keeps
+    the cluster's pair distances (``Cluster.symmetries``), and ``sector``
+    gives its block in the sector symmetric under all of them.
     """
 
     def __init__(self, spec, basis, cluster=None):
@@ -76,7 +77,7 @@ class HamiltonianOperator:
         self.spec = spec
         self.basis = basis
         self.cluster = cluster
-        self._k0 = None
+        self._sector = None
         self.n_diag = basis.popcounts.astype(np.float64)
         if spec.variant == FULL_RYDBERG:
             if cluster is None:
@@ -111,25 +112,27 @@ class HamiltonianOperator:
         out += diag * psi
         return out
 
-    def k0_sector(self):
-        """(P, reduced operator) of the zero-momentum sector.
+    def sector(self):
+        """(P, reduced operator) of the fully symmetric sector.
 
-        P is ``hilbert.translation_orbits``' isometry.  The reduced operator
-        is H on the orbit states, built once from the representatives: flip
+        P is ``hilbert.symmetry_orbits``' isometry for the cluster's
+        symmetry group (P = 1 without a cluster).  The reduced operator is H
+        on the orbit states, built once from the representatives: flip
         P.T @ flip @ P, and the diagonals, which are constant on orbits.
         H P = P H_r, so a state of the sector evolves as its P.T image does.
         """
-        if self._k0 is None:
-            iso, reps = orbits = translation_orbits(self.basis, self.cluster)
+        if self._sector is None:
+            perms = () if self.cluster is None else self.cluster.symmetries
+            iso, reps = orbits = symmetry_orbits(self.basis, perms)
             # not __init__, which would keep the cluster and redo the diagonals
             red = HamiltonianOperator.__new__(HamiltonianOperator)
-            red.spec, red.cluster, red._k0 = self.spec, None, None
+            red.spec, red.cluster, red._sector = self.spec, None, None
             red.basis = ConstrainedBasis(self.basis.n_atoms,
                                          self.basis.configs[reps], self.basis.radius)
             red.flip = _flip_matrix(self.basis, orbits)
             red.n_diag, red.tail_diag = self.n_diag[reps], self.tail_diag[reps]
-            self._k0 = (iso, red)
-        return self._k0
+            self._sector = (iso, red)
+        return self._sector
 
     def aslinearoperator(self, omega, delta):
         import scipy.sparse.linalg as spla
@@ -148,7 +151,7 @@ class HamiltonianOperator:
 def _flip_matrix(basis, orbits=None):
     """Symmetric matrix of the single legal flips between configurations.
 
-    With ``orbits``, the (P, reps) of ``hilbert.translation_orbits``, it is
+    With ``orbits``, the (P, reps) of ``hilbert.symmetry_orbits``, it is
     P.T @ flip @ P, built from the representatives alone, one row per
     orbit: row a gets n_ab * w_a * w_b at orbit b, with w = 1/sqrt(|orbit|)
     and n_ab = m_ab * |O_a| the flips between the two orbits, m_ab of them
@@ -160,7 +163,7 @@ def _flip_matrix(basis, orbits=None):
     pairs, twice: once to count each row's entries, once to write them into
     the CSR arrays, so that the working arrays stay the size of one block.
     """
-    iso, reps = translation_orbits(basis) if orbits is None else orbits
+    iso, reps = symmetry_orbits(basis) if orbits is None else orbits
     orbit = iso.indices                 # P has one entry per row
     sizes = np.bincount(orbit).astype(np.float64)
     weight = 1.0 / np.sqrt(sizes)

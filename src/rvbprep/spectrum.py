@@ -50,24 +50,26 @@ def _fix_phase(vec):
 
 def groundstate(op, omega, delta, tol=1e-10, v0=None):
     """Lowest eigenpair of H(omega, delta) with the gap above it, both in
-    the zero-momentum sector of ``op.k0_sector``.
+    the fully symmetric sector of ``op.sector``.
 
     The gauge psi_c -> (-1)^{n_c} psi_c makes every off-diagonal entry of H
     non-positive, and single flips connect every configuration to the
     vacuum, so for omega > 0 the ground state is unique and, in that gauge,
-    positive (Perron-Frobenius); translations keep n_c, so it has k = 0 and
+    positive (Perron-Frobenius); every symmetry of the cluster permutes
+    atoms and so keeps n_c, so the state is invariant under all of them and
     the sector's E0 and state are those of the full basis.  ``gap`` is the
-    k = 0 gap, never smaller than the full one.  ``v0`` lies on ``op.basis``
-    and the state is expanded back onto it.  Without a cluster P = 1.
+    symmetric sector's gap, never smaller than the full one.  ``v0`` lies
+    on ``op.basis`` and the state is expanded back onto it.  Without a
+    cluster P = 1.
 
-    Diagonal Hamiltonians (omega = 0) are solved exactly, and ``degeneracy``
-    then counts the k = 0 states at the lowest energy; small sectors use
-    dense diagonalization; otherwise restarted Lanczos (ARPACK) with an
-    explicit residual check.
+    Diagonal Hamiltonians (omega = 0) are solved exactly, and
+    ``degeneracy`` then counts the symmetric states (orbits) at the lowest
+    energy; small sectors use dense diagonalization; otherwise restarted
+    Lanczos (ARPACK) with an explicit residual check.
     """
     from .hilbert import StateVector
 
-    iso, red = op.k0_sector()
+    iso, red = op.sector()
     dim = red.dim
     if omega == 0.0:
         diag = red.tail_diag - delta * red.n_diag
@@ -117,12 +119,12 @@ def fidelity_susceptibility_scan(op, lambdas, dlambda=0.0025, rvb=None,
     """F(lambda) over a sorted lambda grid at fixed Omega = 1.
 
     Degenerate grid points are flagged and their F left as NaN rather than
-    averaged over the manifold.  Every solve runs in the zero-momentum
-    sector (``groundstate``), so ``gaps`` holds k = 0 gaps, which are never
-    below the full spectral gaps.  Every row is a cold solve, so it equals
-    the one-row scan at its lambda; on an operator without a cluster a
-    start vector from the previous row would keep Lanczos in that row's
-    symmetry sector.  The lambda + dlambda partner starts from its own row.
+    averaged over the manifold.  Every solve runs in the fully symmetric
+    sector (``groundstate``), so ``gaps`` holds that sector's gaps, which
+    are never below the full spectral gaps.  Every row is a cold solve, so
+    it equals the one-row scan at its lambda; on an operator without a
+    cluster a start vector from the previous row would keep Lanczos in that
+    row's symmetry sector.  The lambda + dlambda partner starts from its own row.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     if np.any(np.diff(lambdas) <= 0):

@@ -94,11 +94,11 @@ def test_cf4_step_calls_lanczos_through_the_module(basis12, monkeypatch):
 
 def test_sweep_states_are_on_the_operator_basis(cluster12, basis12, rvb12):
     # the sweep workload takes vdot of final_state with an RVB state on the
-    # full basis; the sweep itself runs in the zero-momentum sector
+    # full basis; the sweep itself runs in the fully symmetric sector
     op = HamiltonianOperator(HamiltonianSpec(), basis12, cluster12)
     traj = evolve.evolve_sweep(op, SweepSchedule.default_protocol(1.0),
                                rvb=rvb12, n_samples=5, checkpoints=(0.5,))
-    assert op.k0_sector()[1].dim < basis12.dim
+    assert op.sector()[1].dim < basis12.dim
     for state in (traj.final_state, traj.snapshots[0.5]):
         assert state.basis is basis12
         assert state.amplitudes.shape == (basis12.dim,)

@@ -10,8 +10,8 @@ import pytest
 
 from rvbprep import cli, entangle, model, tnet
 from rvbprep.evolve import evolve_sweep
-from rvbprep.geometry import build_cluster
-from rvbprep.hilbert import abs_state
+from rvbprep.geometry import build_cluster, constraint_graph
+from rvbprep.hilbert import abs_state, enumerate_basis
 from rvbprep.model import HamiltonianOperator, HamiltonianSpec, SweepSchedule
 from rvbprep.spectrum import fidelity_susceptibility_scan, groundstate
 
@@ -20,8 +20,8 @@ from conftest import golden_path, read_csv
 
 @pytest.fixture(scope="module")
 def op12(basis12, cluster12):
-    # with its cluster, as the verbs build it: sweeps run in its
-    # zero-momentum sector
+    # with its cluster, as the verbs build it: sweeps run in its fully
+    # symmetric sector
     return HamiltonianOperator(HamiltonianSpec(), basis12, cluster12)
 
 
@@ -33,6 +33,26 @@ def write_config(tmp_path, name, cfg):
 
 def run_cli(argv):
     return cli.main(argv)
+
+
+def sector_sizes(manifest):
+    """The manifest's per-size sector entries without their build times,
+    after checking that each has one."""
+    entries = manifest["sector"]
+    for entry in entries:
+        assert isinstance(entry.pop("sector_s"), float)
+    return entries
+
+
+def sizes_of(op, n_atoms, group_order):
+    _, red = op.sector()
+    return {"n_atoms": n_atoms, "basis_dim": op.dim,
+            "group_order": group_order, "sector_dim": red.dim,
+            "sector_nnz": red.flip.nnz}
+
+
+N24_SECTOR = {"n_atoms": 24, "basis_dim": 2649, "group_order": 48,
+              "sector_dim": 74, "sector_nnz": 422}
 
 
 def sha256(path):
@@ -131,12 +151,9 @@ def test_gs_scan_csv(tmp_path, op12, rvb12):
         assert [float(x) for x in line.split(",")] == [
             scan.lambdas[i], scan.energies[i], scan.gaps[i],
             scan.rvb_overlaps[i], scan.susceptibilities[i]]
-    # the manifest names the zero-momentum sector that the gap belongs to
-    _, red = op12.k0_sector()
+    # the manifest names the symmetric sector that the gap belongs to
     manifest = json.loads(open(os.path.join(out, "manifest.json")).read())
-    assert manifest["k0_sector"] == [{
-        "n_atoms": 12, "basis_dim": op12.dim, "k0_dim": red.dim,
-        "k0_nnz": red.flip.nnz}]
+    assert sector_sizes(manifest) == [sizes_of(op12, 12, 8)]
 
 
 def test_trajectory_csv(tmp_path, op12, rvb12):
@@ -221,7 +238,7 @@ def test_fit_verb(tmp_path):
     assert np.all(cols["overlap"] > 0.9)
     assert list(cols["converged"]) == [1.0, 1.0]
     manifest = json.loads(open(os.path.join(out, "manifest.json")).read())
-    assert [r["n_atoms"] for r in manifest["k0_sector"]] == [12]
+    assert [r["n_atoms"] for r in manifest["sector"]] == [12]
 
 
 def test_tn_grid_modes_agree(tmp_path):
@@ -399,19 +416,18 @@ def test_gs_scan_rejects_lambda_that_does_not_increase(tmp_path):
             "ConfigError: lambda must be strictly increasing")
 
 
-def test_sweep_manifests_record_the_k0_sector(tmp_path, op12):
-    # per size: the basis dim, and the dim and flip nnz of the
-    # zero-momentum sector the sweeps ran in; the CSVs do not change
-    _, red = op12.k0_sector()
-    n12 = {"n_atoms": 12, "basis_dim": op12.dim, "k0_dim": red.dim,
-           "k0_nnz": red.flip.nnz}
-    n24 = {"n_atoms": 24, "basis_dim": 2649, "k0_dim": 702, "k0_nnz": 4980}
+def test_sweep_manifests_record_the_symmetric_sector(tmp_path, op12):
+    # per size: the basis dim, the symmetry group's order, and the dim,
+    # flip nnz and build time of the fully symmetric sector the sweeps ran
+    # in; the CSVs do not change
+    n12 = sizes_of(op12, 12, 8)
+    assert (n12["sector_dim"], n12["sector_nnz"]) == (11, 28)
     cfg = write_config(tmp_path, "s.json", {
         "sizes": [12, 24], "sweep_times": [1.0], "n_samples": 5})
     out = tmp_path / "sweep"
     assert run_cli(["sweep", "--config", cfg, "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["k0_sector"] == [n12, n24]
+    assert sector_sizes(manifest) == [n12, N24_SECTOR]
     assert sorted(manifest["outputs"]) == ["sweep.csv"]
     cfg = write_config(tmp_path, "f.json", {
         "n_atoms": 12, "delta_over_omega": [1.0], "total_time": 5.0})
@@ -419,14 +435,14 @@ def test_sweep_manifests_record_the_k0_sector(tmp_path, op12):
     assert run_cli(["fit", "--experiment", "fig2_fit_sweep_T25",
                     "--config", cfg, "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["k0_sector"] == [n12]
+    assert sector_sizes(manifest) == [n12]
 
 
 def test_sweeps_never_build_the_full_flip(tmp_path, monkeypatch, cluster12,
                                          basis12, rvb12, cluster24, basis24):
-    # sweeps and ground states work in the zero-momentum block, whose flip
-    # is built from the orbit representatives; the full basis' flip waits
-    # for a full-basis apply, and is built once
+    # sweeps and ground states work in the fully symmetric block, whose
+    # flip is built from the orbit representatives; the full basis' flip
+    # waits for a full-basis apply, and is built once
     full_builds = []
     build = model._flip_matrix
 
@@ -443,11 +459,15 @@ def test_sweeps_never_build_the_full_flip(tmp_path, monkeypatch, cluster12,
         "n_atoms": 12, "sweep_times": [1.0], "n_samples": 5})
     assert run_cli(["sweep", "--config", cfg,
                     "--out", str(tmp_path / "out")]) == 0
-    # the dense branch at N = 12 (30 orbits) and ARPACK at N = 24 (702)
+    # the dense branch at N = 12 (11 orbits) and 24 (74), and ARPACK on
+    # the full model at N = 24 (1474)
     groundstate(op, 1.0, 1.2)
     groundstate(op, 0.0, 1.2)
     groundstate(HamiltonianOperator(HamiltonianSpec(), basis24, cluster24),
                 1.0, 1.2)
+    spec = model.full_rydberg_spec()
+    groundstate(HamiltonianOperator(spec, enumerate_basis(constraint_graph(
+        cluster24, spec.constraint_radius)), cluster24), 1.0, 1.2)
     cfg = write_config(tmp_path, "g.json", {"n_atoms": 12,
                                             "lambda": [0.6, 0.8]})
     assert run_cli(["gs-scan", "--config", cfg,
@@ -575,5 +595,4 @@ def test_tee_sweep_source(tmp_path, monkeypatch, cluster24, basis24):
     assert rows == [[t, gamma(traj.snapshots[t]),
                      gamma(abs_state(traj.snapshots[t]))] for t in checks]
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["k0_sector"] == [{
-        "n_atoms": 24, "basis_dim": 2649, "k0_dim": 702, "k0_nnz": 4980}]
+    assert sector_sizes(manifest) == [N24_SECTOR]

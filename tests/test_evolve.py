@@ -172,11 +172,13 @@ def test_rk4_converges_in_dt_up_to_the_end_of_a_sweep(basis12):
     assert np.max(np.abs(coarse - fine)) <= 1e-9
 
 
-# --- the zero-momentum sector ---------------------------------------------
+# --- the fully symmetric sector -------------------------------------------
+# It lies inside the zero-momentum (k = 0) sector: its states are invariant
+# under the translations and under every other symmetry of the torus.
 
 @pytest.mark.parametrize("n_atoms", [12, 24])
 def test_sweep_in_k0_sector_matches_full_basis(n_atoms, request):
-    # an operator with a cluster sweeps in its zero-momentum sector; one
+    # an operator with a cluster sweeps in its fully symmetric sector; one
     # without a cluster has the identity isometry and sweeps on all of
     # its basis.  200 samples over T = 4 are closer than dt, so both take
     # the grid's steps: where the step-doubling check sets dt, it turns
@@ -186,26 +188,37 @@ def test_sweep_in_k0_sector_matches_full_basis(n_atoms, request):
     basis = request.getfixturevalue("basis%d" % n_atoms)
     rvb = rvb_state(request.getfixturevalue("covers%d" % n_atoms), basis)
     s = SweepSchedule.default_protocol(4.0)
-    k0, full = [evolve_sweep(HamiltonianOperator(HamiltonianSpec(), basis, cl),
-                             s, rvb=rvb, n_samples=200, checkpoints=(1.3, 2.9))
-                for cl in (cluster, None)]
-    assert k0.n_steps == full.n_steps
-    assert k0.final_state.basis is full.final_state.basis is basis
-    assert np.max(np.abs(k0.final_state.amplitudes
+    sector, full = [
+        evolve_sweep(HamiltonianOperator(HamiltonianSpec(), basis, cl), s,
+                     rvb=rvb, n_samples=200, checkpoints=(1.3, 2.9))
+        for cl in (cluster, None)]
+    assert sector.n_steps == full.n_steps
+    assert sector.final_state.basis is full.final_state.basis is basis
+    assert np.max(np.abs(sector.final_state.amplitudes
                          - full.final_state.amplitudes)) <= 1e-12
-    assert set(k0.snapshots) == set(full.snapshots) == {1.3, 2.9}
-    for t in k0.snapshots:
-        assert k0.snapshots[t].basis is basis
-        assert np.max(np.abs(k0.snapshots[t].amplitudes
+    assert set(sector.snapshots) == set(full.snapshots) == {1.3, 2.9}
+    for t in sector.snapshots:
+        assert sector.snapshots[t].basis is basis
+        assert np.max(np.abs(sector.snapshots[t].amplitudes
                              - full.snapshots[t].amplitudes)) <= 1e-12
     for name in ("times", "omegas", "deltas"):
-        assert np.array_equal(getattr(k0, name), getattr(full, name))
+        assert np.array_equal(getattr(sector, name), getattr(full, name))
     for name in ("norms", "rvb_overlap", "density", "sector_weights"):
-        assert np.max(np.abs(getattr(k0, name) - getattr(full, name))) <= 1e-12
+        assert np.max(np.abs(getattr(sector, name) - getattr(full, name))) <= 1e-12
 
 
 def test_crosscheck_in_k0_sector(cluster24, basis24):
+    # the sector sweep against rk4_evolve, which applies the full flip
     op = HamiltonianOperator(HamiltonianSpec(), basis24, cluster24)
+    res = integrator_crosscheck(op, SweepSchedule.default_protocol(2.0),
+                                dt_rk=2e-4, local_tol=1e-10)
+    assert res["max_deviation"] < 1e-6
+    assert res["norm_drift"] < 1e-10
+
+
+def test_crosscheck_in_sector_n12(cluster12, basis12):
+    op = HamiltonianOperator(HamiltonianSpec(), basis12, cluster12)
+    assert op.sector()[1].dim == 11
     res = integrator_crosscheck(op, SweepSchedule.default_protocol(2.0),
                                 dt_rk=2e-4, local_tol=1e-10)
     assert res["max_deviation"] < 1e-6
@@ -217,11 +230,22 @@ def test_sweep_rejects_state_outside_k0_sector(cluster12, basis12):
     # one excitation on atom 0 is not invariant under the translations
     psi0 = StateVector(basis12, np.zeros(basis12.dim))
     psi0.amplitudes[basis12.index_of(1)] = 1.0
-    with pytest.raises(EvolveError, match="translation-invariant"):
+    with pytest.raises(EvolveError, match="not symmetric"):
         evolve_sweep(op, SweepSchedule.default_protocol(1.0), psi0=psi0,
                      n_samples=3)
-    # its translation-symmetric sum is accepted
-    iso, _ = op.k0_sector()
+    # its sum over the translations has k = 0, but the torus's other
+    # symmetries move it
+    k0 = np.zeros(basis12.dim)
+    for d1 in range(cluster12.n1):
+        for d2 in range(cluster12.n2):
+            atom = cluster12.translate_atoms(d1, d2)[0]
+            k0[basis12.index_of(1 << int(atom))] = 1.0
+    with pytest.raises(EvolveError, match="outside the fully symmetric"):
+        evolve_sweep(op, SweepSchedule.default_protocol(1.0),
+                     psi0=StateVector(basis12, k0 / np.linalg.norm(k0)),
+                     n_samples=3)
+    # its symmetric sum is accepted
+    iso, _ = op.sector()
     sym = iso @ (iso.T @ psi0.amplitudes)
     traj = evolve_sweep(op, SweepSchedule.default_protocol(1.0),
                         psi0=StateVector(basis12, sym / np.linalg.norm(sym)),

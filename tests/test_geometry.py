@@ -74,6 +74,54 @@ def test_shear_wraps_consistently():
     assert sorted(perm) == list(range(36))
 
 
+# --- the symmetry group ----------------------------------------------------
+
+def _cluster(case):
+    if case.startswith("tee"):
+        return tee_cluster(int(case[3:]))
+    if case == "3x3":
+        return build_cluster(3, 3)
+    return cluster_preset(int(case))
+
+
+@pytest.mark.parametrize("case, order", [
+    ("6", 12), ("12", 8), ("24", 48), ("36", 12), ("48", 32), ("tee36", 24),
+    ("tee48", 32), ("3x3", 108)])
+def test_symmetries_form_the_distance_preserving_group(case, order):
+    cl = _cluster(case)
+    group = cl.symmetries
+    n = cl.n_atoms
+    assert group.shape == (order, n)
+    assert cl.symmetries is group            # computed once
+    # each row is a permutation that keeps every pair distance
+    assert np.array_equal(np.sort(group, axis=1),
+                          np.broadcast_to(np.arange(n), group.shape))
+    d = cl.pair_distances
+    for perm in group:
+        assert np.abs(d[np.ix_(perm, perm)] - d).max() <= 1e-9
+    # distinct, lexicographic, identity first
+    assert np.array_equal(group[0], np.arange(n))
+    rows = [tuple(p) for p in group]
+    assert rows == sorted(set(rows))
+    # closed under composition and inverse
+    members = set(rows)
+    for g in group:
+        assert tuple(np.argsort(g)) in members
+        for h in group:
+            assert tuple(g[h]) in members
+    # it holds every translation of the torus
+    for d1 in range(cl.n1):
+        for d2 in range(cl.n2):
+            assert tuple(cl.translate_atoms(d1, d2)) in members
+
+
+def test_symmetries_are_built_on_first_use():
+    cl = build_cluster(2, 2)
+    assert "symmetries" not in vars(cl)
+    cl.symmetries
+    assert "symmetries" in vars(cl)
+
+
 def test_hexagon_loop_shape():
     for r, ell in ((1, 6), (2, 18)):
         lp = hexagon_loop("diagonal", r)

@@ -7,7 +7,7 @@ from rvbprep.geometry import (build_cluster, cluster_preset, constraint_graph,
 from rvbprep.hilbert import (BasisError, abs_state, enumerate_basis,
                              enumerate_maximal_covers, full_basis,
                              project_to_subspace, rvb_state, StateVector,
-                             translation_orbits)
+                             symmetry_orbits)
 
 
 def brute_force_basis(graph):
@@ -148,18 +148,17 @@ def test_full_basis():
     assert fb.popcounts.max() == 10
 
 
-def per_bit_orbits(basis, cluster):
-    """(P, reps) of translation_orbits, each translated image assembled bit
-    by bit and each orbit labelled by the smallest basis index it reaches
+def per_bit_orbits(basis, perms):
+    """(P, reps) of symmetry_orbits, each permuted image assembled bit by
+    bit and each orbit labelled by the smallest basis index it reaches
     (oracle)."""
     labels = np.arange(basis.dim)
-    for d1 in range(cluster.n1):
-        for d2 in range(cluster.n2):
-            image = np.zeros(basis.dim, dtype=np.uint64)
-            for i, j in enumerate(cluster.translate_atoms(d1, d2)):
-                bit = (basis.configs >> np.uint64(i)) & np.uint64(1)
-                image |= bit << np.uint64(j)
-            np.minimum(labels, basis.indices_of(image), out=labels)
+    for perm in perms:
+        image = np.zeros(basis.dim, dtype=np.uint64)
+        for i, j in enumerate(perm):
+            bit = (basis.configs >> np.uint64(i)) & np.uint64(1)
+            image |= bit << np.uint64(j)
+        np.minimum(labels, basis.indices_of(image), out=labels)
     reps, column = np.unique(labels, return_inverse=True)
     sizes = np.bincount(column)
     iso = sp.csr_matrix((1.0 / np.sqrt(sizes[column]),
@@ -168,17 +167,62 @@ def per_bit_orbits(basis, cluster):
     return iso, reps
 
 
-@pytest.mark.parametrize("case, radius", [
-    ("12", 2.0), ("12", 1.0), ("24", 2.0), ("24", 1.0), ("36", 2.0),
-    ("tee36", 2.0)])
-def test_translation_orbits_match_the_per_bit_oracle(case, radius):
-    # the PXP (radius 2) and full-model (radius 1) bases of the presets, and
-    # the sheared TEE torus
-    cluster = tee_cluster(36) if case == "tee36" else cluster_preset(int(case))
-    basis = enumerate_basis(constraint_graph(cluster, radius))
-    iso, reps = translation_orbits(basis, cluster)
-    want_iso, want_reps = per_bit_orbits(basis, cluster)
+ORBIT_CASES = [("12", 2.0), ("12", 1.0), ("24", 2.0), ("24", 1.0),
+               ("36", 2.0), ("tee36", 2.0)]
+
+
+def _assert_orbits_match_the_oracle(basis, perms):
+    iso, reps = symmetry_orbits(basis, perms)
+    want_iso, want_reps = per_bit_orbits(basis, perms)
     assert np.array_equal(reps, want_reps)
     assert iso.shape == want_iso.shape
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(iso, name), getattr(want_iso, name))
+    return iso
+
+
+def _orbit_case(case, radius):
+    # the PXP (radius 2) and full-model (radius 1) bases of the presets, and
+    # the sheared TEE torus
+    cluster = tee_cluster(36) if case == "tee36" else cluster_preset(int(case))
+    return cluster, enumerate_basis(constraint_graph(cluster, radius))
+
+
+@pytest.mark.parametrize("case, radius", ORBIT_CASES)
+def test_translation_orbits_match_the_per_bit_oracle(case, radius):
+    # the zero-momentum orbits: the translations alone
+    cluster, basis = _orbit_case(case, radius)
+    translations = [cluster.translate_atoms(d1, d2)
+                    for d1 in range(cluster.n1) for d2 in range(cluster.n2)]
+    _assert_orbits_match_the_oracle(basis, translations)
+
+
+@pytest.mark.parametrize("group", ["symmetries", "none"])
+@pytest.mark.parametrize("case, radius", ORBIT_CASES)
+def test_symmetry_orbits_match_the_per_bit_oracle(case, radius, group):
+    # the cluster's whole symmetry group, and no permutation (P = 1)
+    cluster, basis = _orbit_case(case, radius)
+    if group == "none":
+        iso = _assert_orbits_match_the_oracle(basis, [])
+        assert (iso != sp.identity(basis.dim)).nnz == 0
+    else:
+        _assert_orbits_match_the_oracle(basis, cluster.symmetries)
+
+
+@pytest.mark.parametrize("n_atoms", [12, 24, 36])
+def test_rvb_state_is_invariant_under_the_symmetries(n_atoms):
+    # the covers map onto covers under every symmetry, so the RVB state is
+    # one orbit sum per cover orbit and P P.T leaves it unchanged
+    cluster = cluster_preset(n_atoms)
+    basis = enumerate_basis(constraint_graph(cluster, 2.0))
+    covers = enumerate_maximal_covers(cluster)
+    cover_set = set(covers.covers.tolist())
+    for perm in cluster.symmetries:
+        image = np.zeros(covers.count, dtype=np.uint64)
+        for i, j in enumerate(perm):
+            image |= ((covers.covers >> np.uint64(i)) & np.uint64(1)) \
+                << np.uint64(j)
+        assert set(image.tolist()) == cover_set
+    rvb = rvb_state(covers, basis).amplitudes
+    iso, _ = symmetry_orbits(basis, cluster.symmetries)
+    assert np.max(np.abs(iso @ (iso.T @ rvb) - rvb)) <= 1e-14

@@ -5,9 +5,9 @@ import pytest
 import scipy.sparse as sp
 
 from rvbprep.geometry import cluster_preset, constraint_graph, tee_cluster
-from rvbprep.hilbert import enumerate_basis
+from rvbprep.hilbert import enumerate_basis, symmetry_orbits
 from rvbprep.model import (HamiltonianOperator, HamiltonianSpec, ModelError,
-                           SweepSchedule, diagonal_interaction,
+                           SweepSchedule, _flip_matrix, diagonal_interaction,
                            full_rydberg_spec, tail_pairs)
 
 
@@ -200,59 +200,95 @@ def test_time_at_detuning_ratio():
         s.time_at_detuning_ratio(3.0)   # above the final detuning
 
 
-# --- zero-momentum sector --------------------------------------------------
+# --- symmetry sectors -----------------------------------------------------
 
-@pytest.mark.parametrize("case, n_orbits", [
-    ("pxp12", None), ("full12", None), ("pxp24", 702), ("full24", 16576),
-    ("pxp36", 22783), ("tee36", None)])
-def test_k0_sector_intertwines_with_the_full_operator(case, n_orbits):
-    # H P = P H_r: the flip and both diagonals, on the preset tori, the
-    # full model's wide basis and the sheared TEE torus.  The reduced flip
-    # is built from the orbit representatives; the oracle is P.T flip P,
-    # formed here from the full flip
+def _operator(case):
+    """The preset tori, the full model's wide basis and the sheared TEE
+    torus."""
     if case == "tee36":
         cluster = tee_cluster(36)
     else:
         cluster = cluster_preset(int(case[-2:]))
     spec = full_rydberg_spec() if case.startswith("full") else HamiltonianSpec()
     basis = enumerate_basis(constraint_graph(cluster, spec.constraint_radius))
-    op = HamiltonianOperator(spec, basis, cluster)
-    iso, red = op.k0_sector()
-    assert op.k0_sector()[1] is red
-    assert iso.shape == (basis.dim, red.dim)
-    if n_orbits is not None:
-        assert red.dim == n_orbits
+    return cluster, HamiltonianOperator(spec, basis, cluster)
+
+
+def _check_reduced_flip(op, iso, reps, flip):
+    """P is an isometry with one orbit per configuration, reps are the
+    orbits' smallest configurations, and the reduced flip, built from the
+    representatives, has the pattern of P.T flip P (formed here from the
+    full flip).  Returns the orbit sizes and the data of P.T flip P."""
+    basis = op.basis
+    assert iso.shape == (basis.dim, len(reps)) == (basis.dim, flip.shape[0])
     # every configuration lies in one orbit, and the orbit sizes sum to dim
     assert np.array_equal(np.diff(iso.indptr), np.ones(basis.dim))
-    sizes = np.bincount(iso.indices, minlength=red.dim)
+    sizes = np.bincount(iso.indices, minlength=len(reps))
     assert sizes.sum() == basis.dim and sizes.min() >= 1
     assert np.allclose(iso.data, 1.0 / np.sqrt(sizes[iso.indices]),
                        rtol=0, atol=1e-15)
-    assert abs(op.flip @ iso - iso @ red.flip).max() <= 1e-13
+    assert abs(op.flip @ iso - iso @ flip).max() <= 1e-13
     want = (iso.T @ op.flip @ iso).tocsr()
     want.sort_indices()
-    assert red.flip.has_canonical_format
-    assert np.array_equal(red.flip.indptr, want.indptr)
-    assert np.array_equal(red.flip.indices, want.indices)
-    assert np.abs(red.flip.data - want.data).max() <= 1e-15
+    assert flip.has_canonical_format
+    assert np.array_equal(flip.indptr, want.indptr)
+    assert np.array_equal(flip.indices, want.indices)
+    assert (flip != flip.T).nnz == 0
+    assert abs(iso.T @ iso - sp.identity(len(reps))).max() <= 1e-13
+    # each orbit is represented by its smallest configuration
+    smallest = np.full(len(reps), np.iinfo(np.uint64).max, dtype=np.uint64)
+    np.minimum.at(smallest, iso.indices, basis.configs)
+    assert np.array_equal(basis.configs[reps], smallest)
+    return sizes, want.data
+
+
+@pytest.mark.parametrize("case, n_orbits", [
+    ("pxp12", None), ("full12", None), ("pxp24", 702), ("full24", 16576),
+    ("pxp36", 22783), ("tee36", None)])
+def test_k0_sector_intertwines_with_the_full_operator(case, n_orbits):
+    # the zero-momentum sector, the orbits of the translations alone:
+    # _flip_matrix builds the reduced flip of any subgroup
+    cluster, op = _operator(case)
+    translations = [cluster.translate_atoms(d1, d2)
+                    for d1 in range(cluster.n1) for d2 in range(cluster.n2)]
+    iso, reps = orbits = symmetry_orbits(op.basis, translations)
+    if n_orbits is not None:
+        assert len(reps) == n_orbits
+    flip = _flip_matrix(op.basis, orbits)
+    _, want = _check_reduced_flip(op, iso, reps, flip)
+    assert np.abs(flip.data - want).max() <= 1e-15
     if case in ("pxp24", "full24"):
-        assert np.array_equal(red.flip.data, want.data)
+        assert np.array_equal(flip.data, want)
+
+
+@pytest.mark.parametrize("case, n_orbits", [
+    ("pxp12", 11), ("full12", None), ("pxp24", 74), ("full24", 1474),
+    ("pxp36", 11438), ("tee36", None)])
+def test_sector_intertwines_with_the_full_operator(case, n_orbits):
+    # H P = P H_r in the sector of the whole symmetry group: the flip and
+    # both diagonals.  Entries reach sqrt(24) on the N = 24 torus, and the
+    # oracle sums up to |O_a| products per entry, so the two flips agree
+    # to a few ulps of each entry
+    cluster, op = _operator(case)
+    iso, red = op.sector()
+    assert op.sector()[1] is red
+    if n_orbits is not None:
+        assert red.dim == n_orbits
+    reps = op.basis.indices_of(red.basis.configs)
+    sizes, want = _check_reduced_flip(op, iso, reps, red.flip)
+    assert np.all(np.abs(red.flip.data - want) <= 8 * np.spacing(want))
+    # an orbit's size divides the group's order
+    assert np.all(len(cluster.symmetries) % sizes == 0)
     for full, reduced in ((op.n_diag, red.n_diag),
                           (op.tail_diag, red.tail_diag)):
         diag_p = iso.multiply(full[:, None])
         p_diag = iso @ sp.diags(reduced)
         assert abs(diag_p - p_diag).max() <= 1e-13
-    assert (red.flip != red.flip.T).nnz == 0
-    assert abs(iso.T @ iso - sp.identity(red.dim)).max() <= 1e-13
-    # each orbit is represented by its smallest configuration
-    smallest = np.full(red.dim, np.iinfo(np.uint64).max, dtype=np.uint64)
-    np.minimum.at(smallest, iso.indices, basis.configs)
-    assert np.array_equal(red.basis.configs, smallest)
 
 
 def test_k0_sector_without_cluster_is_the_identity(basis12):
     op = HamiltonianOperator(HamiltonianSpec(), basis12)
-    iso, red = op.k0_sector()
+    iso, red = op.sector()
     assert (iso != sp.identity(basis12.dim)).nnz == 0
     assert np.array_equal(red.basis.configs, basis12.configs)
     assert (red.flip != op.flip).nnz == 0

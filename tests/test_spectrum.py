@@ -3,12 +3,13 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from rvbprep.geometry import constraint_graph
+from rvbprep.geometry import cluster_preset, constraint_graph
 from rvbprep.hilbert import enumerate_basis, rvb_state
 from rvbprep.model import (HamiltonianOperator, HamiltonianSpec,
                            full_rydberg_spec)
-from rvbprep.spectrum import (SpectrumError, fidelity_susceptibility_scan,
-                              groundstate, interior_peaks)
+from rvbprep.spectrum import (DENSE_CUTOFF, SpectrumError,
+                              fidelity_susceptibility_scan, groundstate,
+                              interior_peaks)
 
 
 @pytest.fixture(scope="module")
@@ -109,27 +110,43 @@ def test_scan_input_validation(op12):
         fidelity_susceptibility_scan(op12, [0.5, 1.0], dlambda=0.0)
 
 
-# --- the zero-momentum sector ---------------------------------------------
+# --- the fully symmetric sector -------------------------------------------
+# The sector lies inside the zero-momentum (k = 0) one: its states are
+# invariant under the translations and under every other symmetry.
 
-def _translated(basis, cluster, amps):
-    """amps under every translation of the cluster's torus, bit by bit."""
-    for d1 in range(cluster.n1):
-        for d2 in range(cluster.n2):
-            image = np.zeros(basis.dim, dtype=np.uint64)
-            for i, j in enumerate(cluster.translate_atoms(d1, d2)):
-                bit = (basis.configs >> np.uint64(i)) & np.uint64(1)
-                image |= bit << np.uint64(j)
-            moved = np.empty_like(amps)
-            moved[basis.indices_of(image)] = amps
-            yield moved
+def _images(basis, cluster, amps):
+    """amps under every symmetry of the cluster, bit by bit."""
+    for perm in cluster.symmetries:
+        image = np.zeros(basis.dim, dtype=np.uint64)
+        for i, j in enumerate(perm):
+            bit = (basis.configs >> np.uint64(i)) & np.uint64(1)
+            image |= bit << np.uint64(j)
+        moved = np.empty_like(amps)
+        moved[basis.indices_of(image)] = amps
+        yield moved
 
 
-def _assert_on_basis_and_k0(gs, op):
+def _assert_on_basis_and_symmetric(gs, op):
     assert gs.state.basis is op.basis
     assert gs.state.amplitudes.shape == (op.dim,)
     assert gs.state.norm == pytest.approx(1.0, abs=1e-12)
-    for moved in _translated(op.basis, op.cluster, gs.state.amplitudes):
+    for moved in _images(op.basis, op.cluster, gs.state.amplitudes):
         assert np.max(np.abs(moved - gs.state.amplitudes)) <= 1e-12
+
+
+@pytest.mark.parametrize("model", ["pxp", "full"])
+def test_groundstate_in_sector_matches_dense_full_basis_n12(cluster12, model):
+    # both models at N = 12: the sector's E0 is the dense full-basis E0, and
+    # its gap is never below the full one
+    spec = HamiltonianSpec() if model == "pxp" else full_rydberg_spec()
+    basis = enumerate_basis(constraint_graph(cluster12, spec.constraint_radius))
+    op = HamiltonianOperator(spec, basis, cluster12)
+    for lam in (0.3, 0.6, 0.9, 1.5):
+        gs = groundstate(op, 1.0, 1.0 / lam)
+        evals = np.linalg.eigvalsh(op.dense(1.0, 1.0 / lam))
+        assert gs.energy == pytest.approx(evals[0], abs=1e-10)
+        assert gs.gap >= evals[1] - evals[0] - 1e-10
+        _assert_on_basis_and_symmetric(gs, op)
 
 
 def test_groundstate_in_k0_sector_matches_dense_full_basis(cluster24,
@@ -141,22 +158,23 @@ def test_groundstate_in_k0_sector_matches_dense_full_basis(cluster24,
     lams = np.linspace(0.3, 1.5, 13)
     solves = [groundstate(op, 1.0, 1.0 / lam) for lam in lams]
     assert "flip" not in vars(op)
-    assert op.k0_sector()[1].dim == 702 > 600   # the ARPACK branch
+    assert op.sector()[1].dim == 74 <= DENSE_CUTOFF   # the dense branch
     for lam, gs in zip(lams, solves):
         evals = np.linalg.eigvalsh(op.dense(1.0, 1.0 / lam))
         assert gs.energy == pytest.approx(evals[0], abs=1e-10)
-        # the k = 0 gap is never below the full one
+        # the sector's gap is never below the full one
         assert gs.gap >= evals[1] - evals[0] - 1e-10
         assert not gs.degenerate
         psi = gs.state.amplitudes
         res = op.apply(psi, 1.0, 1.0 / lam) - gs.energy * psi
         assert np.linalg.norm(res) <= 1e-9
-        _assert_on_basis_and_k0(gs, op)
+        _assert_on_basis_and_symmetric(gs, op)
 
 
 def test_groundstate_in_k0_sector_full_model(cluster24):
-    # the full model's wide basis (65536 states, 16576 orbits) against
-    # eigsh on the full CSR; its k = 0 gap lies above the full gap
+    # the full model's wide basis (65536 states, 1474 orbits; the ARPACK
+    # branch) against eigsh on the full CSR; its sector gap lies above the
+    # full gap
     spec = full_rydberg_spec()
     basis = enumerate_basis(constraint_graph(cluster24, spec.constraint_radius))
     op = HamiltonianOperator(spec, basis, cluster24)
@@ -166,28 +184,34 @@ def test_groundstate_in_k0_sector_full_model(cluster24):
     again = groundstate(op, 1.0, 1.0 / lams[1])
     assert again.energy == solves[1].energy and again.gap == solves[1].gap
     assert np.array_equal(again.state.amplitudes, solves[1].state.amplitudes)
-    iso, _ = op.k0_sector()
+    iso, red = op.sector()
+    assert red.dim == 1474 > DENSE_CUTOFF
     for lam, gs in zip(lams, solves):
         h = (0.5 * op.flip
              + sp.diags(op.tail_diag - (1.0 / lam) * op.n_diag)).tocsr()
         full = np.sort(spla.eigsh(h, k=2, which="SA", tol=1e-12)[0])
-        k0 = np.sort(spla.eigsh((iso.T @ h @ iso).tocsr(), k=2, which="SA",
-                                tol=1e-12)[0])
+        sector = np.sort(spla.eigsh((iso.T @ h @ iso).tocsr(), k=2,
+                                    which="SA", tol=1e-12)[0])
         assert gs.energy == pytest.approx(full[0], abs=1e-9)
-        assert gs.gap == pytest.approx(k0[1] - k0[0], abs=1e-9)
+        assert gs.gap == pytest.approx(sector[1] - sector[0], abs=1e-9)
         assert gs.gap > full[1] - full[0] + 1e-3
         psi = gs.state.amplitudes
         res = op.apply(psi, 1.0, 1.0 / lam) - gs.energy * psi
         assert np.linalg.norm(res) <= 1e-9
-        _assert_on_basis_and_k0(gs, op)
+        _assert_on_basis_and_symmetric(gs, op)
 
 
-def test_groundstate_warm_start_is_mapped_into_the_sector(cluster24, basis24,
-                                                          monkeypatch):
+def test_groundstate_warm_start_is_mapped_into_the_sector(monkeypatch):
     # fit's chain passes the previous ground state, on op.basis, as v0; P.T
-    # maps it into the sector, where it cuts ARPACK's work several-fold
-    op = HamiltonianOperator(HamiltonianSpec(), basis24, cluster24)
-    _, red = op.k0_sector()
+    # maps it into the sector, where it cuts ARPACK's work several-fold.
+    # One step of the fig2_fit chain at N = 36, whose sector (11438 orbits)
+    # runs ARPACK
+    cluster = cluster_preset(36)
+    op = HamiltonianOperator(HamiltonianSpec(),
+                             enumerate_basis(constraint_graph(cluster, 2.0)),
+                             cluster)
+    _, red = op.sector()
+    assert red.dim > DENSE_CUTOFF
     products = []
     apply = HamiltonianOperator.apply
 
@@ -196,11 +220,11 @@ def test_groundstate_warm_start_is_mapped_into_the_sector(cluster24, basis24,
         return apply(self, psi, omega, delta)
 
     monkeypatch.setattr(HamiltonianOperator, "apply", counting)
-    previous = groundstate(op, 1.0, 1.0 / 0.5).state.amplitudes
+    previous = groundstate(op, 1.0, 0.8).state.amplitudes
     del products[:]
-    cold = groundstate(op, 1.0, 1.0 / 0.55)
+    cold = groundstate(op, 1.0, 0.9)
     n_cold = len(products)
-    warm = groundstate(op, 1.0, 1.0 / 0.55, v0=previous)
+    warm = groundstate(op, 1.0, 0.9, v0=previous)
     n_warm = len(products) - n_cold
     assert all(products)
     assert n_warm < n_cold / 3
@@ -211,20 +235,24 @@ def test_groundstate_warm_start_is_mapped_into_the_sector(cluster24, basis24,
 
 @pytest.mark.parametrize("model", ["pxp", "full"])
 def test_groundstate_diagonal_limit_in_k0_sector(cluster12, model):
-    # omega = 0 on a torus: a normalized k = 0 state at the lowest
-    # diagonal energy; the degeneracy counts the k = 0 states there
+    # omega = 0 on a torus: a normalized symmetric state at the lowest
+    # diagonal energy; the degeneracy counts the symmetric states (orbits)
+    # there
     spec = HamiltonianSpec() if model == "pxp" else full_rydberg_spec()
     basis = enumerate_basis(constraint_graph(cluster12, spec.constraint_radius))
     op = HamiltonianOperator(spec, basis, cluster12)
     diag = op.tail_diag - 2.0 * op.n_diag
     gs = groundstate(op, 0.0, 2.0)
     assert gs.energy == pytest.approx(diag.min(), abs=1e-12)
-    _assert_on_basis_and_k0(gs, op)
+    _assert_on_basis_and_symmetric(gs, op)
     psi = gs.state.amplitudes
     assert np.allclose(diag[np.abs(psi) > 0], gs.energy, rtol=0, atol=1e-12)
-    _, red = op.k0_sector()
+    iso, red = op.sector()
     lowest = red.tail_diag - 2.0 * red.n_diag <= gs.energy + 1e-8
     assert gs.degeneracy == int(lowest.sum())
+    # the lowest configurations fall into that many orbits
+    at_e0 = diag <= gs.energy + 1e-8
+    assert gs.degeneracy == len(np.unique(iso.indices[at_e0]))
     assert gs.degenerate == (gs.degeneracy > 1)
 
 
