@@ -297,6 +297,16 @@ def _record_sector(run, n_atoms, op):
     run._write()
 
 
+def _record_boundaries(run, counters):
+    """Add the transfer-matrix solver counters of a run to the manifest:
+    the power iterations of all its boundary solves and their largest
+    residual, from (iterations, residual) pairs.  The CSVs never hold
+    them, so reruns stay byte-identical."""
+    run.manifest["boundaries"] = {
+        "iterations": int(sum(it for it, _ in counters)),
+        "max_residual": float(max(res for _, res in counters))}
+
+
 # --- verbs ----------------------------------------------------------------
 
 def cmd_cluster(cfg, run):
@@ -450,6 +460,7 @@ def cmd_tn_grid(cfg, run):
     loop_x = _build_loop(cfg["loop_x"]) if "loop_x" in cfg else None
     records = []
     warm = None
+    boundaries = []
     for i2, z2 in enumerate(z2s):
         # serpentine ordering keeps successive points close for warm starts
         order = list(z1s) if i2 % 2 == 0 else list(z1s)[::-1]
@@ -458,6 +469,7 @@ def cmd_tn_grid(cfg, run):
             rec, warm = tnet.phase_diagram_point(
                 float(z1), float(z2), L, projected, loop_z, loop_x,
                 fd_step=None, compute_xi=not projected, warm=warm)
+            boundaries.append((rec["iterations"], rec["residual"]))
             row.append(rec)
         row.sort(key=lambda r: r["z1"])
         grad = np.gradient(np.array([r["density"] for r in row]), z1s)
@@ -467,6 +479,7 @@ def cmd_tn_grid(cfg, run):
     cols = ["z1", "z2", "density", "dn_dz1", "xi", "bffm_z_l18", "bffm_x_l18"]
     write_csv(run.path("grid.csv"), cols,
               [[rec[c] for c in cols] for rec in records])
+    _record_boundaries(run, boundaries)
     return ["grid.csv"]
 
 
@@ -476,15 +489,18 @@ def cmd_bffm_scaling(cfg, run):
     loops = [(spec, _build_loop(spec)) for spec in _need(cfg, "loops", list)]
     z2 = _need(cfg, "z2", (int, float))
     rows = []
+    boundaries = []
     for z1 in _grid(cfg, "z1"):
         tm = tnet.cylinder_transfer(float(z1), float(z2), L, True)
         b = tnet.dominant_eigenpair(tm, compute_lam1=False)
+        boundaries.append((b.iterations, b.residual))
         for spec, loop in loops:
             bz = tnet.bffm(tm, loop, b, x_type=False)
             bx = tnet.bffm(tm, loop, b, x_type=True)
             rows.append((z1, z2, loop.perimeter, spec["shape"], bz, bx))
     write_csv(run.path("bffm_scaling.csv"),
               ["z1", "z2", "perimeter", "shape", "bffm_z", "bffm_x"], rows)
+    _record_boundaries(run, boundaries)
     return ["bffm_scaling.csv"]
 
 

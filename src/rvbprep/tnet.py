@@ -12,10 +12,21 @@ with one virtual bond in each square-lattice direction, so a cylinder of
 circumference L contracts through a transfer matrix on an 8^L-dimensional
 bond space (4^L unprojected): the double layer needs a single occupation
 layer because the occupation legs of bra and ket coincide.
+
+A double-layer leg s = (2a + b) * n_occ + alpha carries the charge
+c(s) = s // n_occ = 2a + b of its ket and bra dimer bits, and every row
+tensor C[l, k, u, d] has c(l) ^ c(k) ^ c(u) ^ c(d) = 3: the exactly-one
+edges flip both dimer bits.  This Z2 x Z2 symmetry (the gauge symmetry of
+the RVB PEPS) splits the bond space into four sectors, the XOR of the leg
+charges.  RowOperator applies a row one sector at a time and keeps the
+ring-closing bond at its n_occ occupation values, a quarter of its
+dimension, because the other legs fix its charge.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -77,6 +88,11 @@ class _Network:
     @property
     def n_occ(self):
         return self.occ_edge.shape[0]
+
+    @functools.cached_property
+    def edge(self):
+        """Double-layer matrix of a plain edge."""
+        return double_edge_matrix(self.occ_edge)
 
 
 NETWORKS = {
@@ -147,7 +163,8 @@ def double_triangle_tensor(z1, z2, projected=True, mod=None):
     o = _insertion(mod, net)
     k = _dimer_tensor(z1, z2, net.states)
     n = 4 * net.n_occ
-    D = np.einsum("cC,cxyz,Cuvw,cpqr->xupyvqzwr", o, k, k.conj(),
+    ko = np.tensordot(o, k.conj(), axes=(1, 0))         # bra summed in
+    D = np.einsum("cxyz,cuvw,cpqr->xupyvqzwr", k, ko,
                   net.occ_legs).reshape(n, n, n)
     if np.max(np.abs(D.imag)) < 1e-300:
         D = D.real
@@ -168,8 +185,9 @@ def double_edge_matrix(occ):
 class RowMods:
     """Modifications of one transfer row for operator insertions.
 
-    Keys of the dicts are the block index n (0..L-1).  Edge override values
-    are full edge matrices.
+    Keys of the dicts are the block index n (0..L-1).  Triangle values are
+    the (hashable) mod tuples of double_triangle_tensor; edge override
+    values are full edge matrices.
     """
     up: dict = field(default_factory=dict)      # n -> triangle mod tuple
     down: dict = field(default_factory=dict)    # n -> triangle mod tuple
@@ -186,125 +204,199 @@ def _block_tensor(up_t, down_t, e_v0, e_v2):
     [lower up-triangle, this down-triangle]) is absorbed into the d leg.
     """
     # down_t[l, x, draw], e_v0[x, y] ([down side, up side]), up_t[y, r, u]
-    core = np.einsum("lxd,xy,yru->lrdu", down_t, e_v0, up_t)
-    return np.einsum("lrdu,ed->lreu", core, e_v2)
+    core = np.tensordot(np.tensordot(down_t, e_v0, axes=(1, 0)), up_t,
+                        axes=(2, 0))                  # l, draw, r, u
+    return np.tensordot(core, e_v2, axes=(1, 1)).transpose(0, 1, 3, 2)
 
 
-def _row_blocks(z1, z2, L, projected, mods=None):
-    mods = mods or RowMods()
-    plain = double_triangle_tensor(z1, z2, projected)
-    e_plain = double_edge_matrix(NETWORKS[projected].occ_edge)
-    blocks = []
-    for n in range(L):
-        up_t = plain if n not in mods.up else double_triangle_tensor(
-            z1, z2, projected, mods.up[n])
-        down_t = plain if n not in mods.down else double_triangle_tensor(
-            z1, z2, projected, mods.down[n])
-        e_v0 = mods.e_v0.get(n, e_plain)
-        e_v2 = mods.e_v2.get(n, e_plain)
-        blocks.append(_block_tensor(up_t, down_t, e_v0, e_v2))
-    e_hs = [mods.e_h.get(n, e_plain) for n in range(L)]
-    return blocks, e_hs
+def _site_chains(triangle, edge, mods, sites):
+    """C_n[l, k, u, d] of each given site n of a row with mods: block n
+    with its horizontal bond to block n + 1 absorbed on the k leg.
+    triangle(mod) is the double-layer tensor of a triangle insertion (None:
+    plain) and edge the matrix of a plain edge."""
+    chains = []
+    for n in sites:
+        block = _block_tensor(triangle(mods.up.get(n)),
+                              triangle(mods.down.get(n)),
+                              mods.e_v0.get(n, edge), mods.e_v2.get(n, edge))
+        C = np.tensordot(block, mods.e_h.get(n, edge),
+                         axes=(1, 0)).transpose(0, 3, 2, 1)   # l, k, u, d
+        if np.iscomplexobj(C) and np.max(np.abs(C.imag)) < 1e-300:
+            C = C.real
+        chains.append(np.ascontiguousarray(C))
+    return chains
+
+
+def _triangles(z1, z2, projected):
+    """double_triangle_tensor at (z1, z2) as a function of the insertion,
+    each insertion built once."""
+    return functools.lru_cache(maxsize=None)(
+        functools.partial(double_triangle_tensor, z1, z2, projected))
 
 
 def _row_chains(z1, z2, L, projected=True, mods=None):
     """Per-site tensors C_n[l, k, u, d] of the row, horizontal bond absorbed."""
-    blocks, e_hs = _row_blocks(z1, z2, L, projected, mods)
-    chains = []
-    for n in range(L):
-        C = np.einsum("lrdu,rk->lkud", blocks[n], e_hs[n])
-        if np.iscomplexobj(C) and np.max(np.abs(C.imag)) < 1e-300:
-            C = np.ascontiguousarray(C.real)
-        chains.append(C)
-    return chains
+    return _site_chains(_triangles(z1, z2, projected),
+                        NETWORKS[projected].edge, mods or RowMods(), range(L))
+
+
+@functools.lru_cache(maxsize=None)
+def _ring_charges(n_occ, L):
+    """Z2 x Z2 charge of every bond-space index: the XOR over the L legs of
+    c(s) = s // n_occ, whose bits are the ket (2) and bra (1) dimer bits."""
+    leg = np.arange(4 * n_occ, dtype=np.int8) // n_occ
+    charge = np.zeros(1, dtype=np.int8)
+    for _ in range(L):
+        charge = (charge[:, None] ^ leg).ravel()
+    charge.flags.writeable = False
+    return charge
+
+
+def _part(buf, shape):
+    """The leading entries of a flat work array, in the given shape."""
+    return buf[:math.prod(shape)].reshape(shape)
 
 
 class RowOperator:
     """Matrix-free application of one cylinder row to a bond-space vector.
 
-    The row is a ring of L four-leg tensors C[l, k, u, d]; applying it
-    keeps the ring-closing horizontal index open (an extra factor D) and
-    performs one (D*D x D*D) matrix product per site.
+    The row is a ring of L four-leg tensors C[l, k, u, d].  Every nonzero
+    entry conserves the dimer charge: c(l) ^ c(k) ^ c(u) ^ c(d) = 3 with
+    c(s) = s // n_occ (see parity_signs).  A vector of one charge sector Q
+    (the XOR of its legs' charges) therefore maps into sector
+    Q ^ 3 * (L mod 2), and while the row is applied the charge of the open
+    ring-closing index l0 is fixed by the other legs.  Each pass stores l0
+    as its n_occ occupation values only, a quarter of the bond dimension D:
+    site 0 is one GEMM against the compressed W0[(t0, u0, l1), d0], every
+    later site one (D*D x D*D) product through its SVD factors, and the
+    ring closes where l0 = k, i.e. at t0 = k mod n_occ.  apply splits its
+    input by sector and makes one pass per sector it touches.
     """
 
     def __init__(self, chains):
+        if len(chains) < 2:
+            raise TnetError("a row needs at least two sites")
         self.L = len(chains)
         self.D = chains[0].shape[0]
-        D = self.D
+        self.n_occ = self.D // 4
+        self.dim = self.D ** self.L
         self._chains = [np.asarray(c) for c in chains]
-        # W0[(l0, u0, l1), d0]; later sites split by SVD across the
-        # (l, d) | (k, u) cut, whose rank stays at the bond dimension
-        self.w0 = np.ascontiguousarray(
-            chains[0].transpose(0, 2, 1, 3).reshape(D * D * D, D))
-        self.factors = []
-        for c in chains[1:]:
-            m = c.transpose(0, 3, 1, 2).reshape(D * D, D * D)   # (l,d) x (k,u)
-            u, s, vt = np.linalg.svd(m, full_matrices=False)
-            r = max(1, int(np.sum(s > s[0] * 1e-13)))
-            a = np.ascontiguousarray(u[:, :r] * s[:r])
-            # reorder the right factor columns to (u, k) so the finished
-            # physical leg folds into the batch axes by a plain reshape
-            b = np.ascontiguousarray(
-                vt[:r].reshape(r, D, D).transpose(0, 2, 1).reshape(r, D * D))
-            self.factors.append((a, b))
-        self.dim = D ** self.L
-        self.dtype = np.result_type(*[c.dtype for c in chains])
+        self._factors = [self._site_factors(n, c)
+                         for n, c in enumerate(self._chains)]
+        self.dtype = np.result_type(*[c.dtype for c in self._chains])
+        self._work = {}
 
-    _scratch = {}
+    def _site_factors(self, n, c):
+        """What apply uses of site n.
 
-    @staticmethod
-    def _buffers(size, dtype):
-        """Four reusable flat work arrays shared across operators."""
-        key = (size, np.dtype(dtype).str)
-        bufs = RowOperator._scratch.get(key)
-        if bufs is None:
-            if len(RowOperator._scratch) >= 4:
-                RowOperator._scratch.clear()
-            bufs = tuple(np.empty(size, dtype=dtype) for _ in range(4))
-            RowOperator._scratch[key] = bufs
-        return bufs
+        Site 0 gives the compressed W0[(t0, u0, l1), d0]: of the four
+        charges of l0 at most one has a nonzero entry, so their sum keeps
+        it.  Every later site splits across the (l, d) | (k, u) cut, whose
+        rank stays at the bond dimension.  The last site's right factor
+        also closes the ring: at l0 = k it sums k over its charges at
+        occupation t0 = k mod n_occ, one (rank x u) matrix per t0.
+        """
+        D, nocc = self.D, self.n_occ
+        if np.any(c[_ring_charges(nocc, 4).reshape(c.shape) != 3]):
+            raise TnetError("site %d of the row breaks the dimer charge" % n)
+        if n == 0:
+            w0 = c.reshape(4, nocc, D, D, D).sum(axis=0)     # t0, l1, u0, d0
+            return np.ascontiguousarray(
+                w0.transpose(0, 2, 1, 3).reshape(-1, D))
+        m = c.transpose(0, 3, 1, 2).reshape(D * D, D * D)   # (l,d) x (k,u)
+        u, s, vt = np.linalg.svd(m, full_matrices=False)
+        r = max(1, int(np.sum(s > s[0] * 1e-13)))
+        a = np.ascontiguousarray(u[:, :r] * s[:r])
+        # right factor columns in (u, k) order, so the finished physical
+        # leg folds into the batch axes by a plain reshape
+        b = vt[:r].reshape(r, D, D).transpose(0, 2, 1)
+        if n < self.L - 1:
+            return a, np.ascontiguousarray(b.reshape(r, D * D))
+        b = b.reshape(r, D, 4, nocc).sum(axis=2)            # r, u, t0
+        return a, np.ascontiguousarray(b.transpose(2, 0, 1))
+
+    def _with_sites(self, chains):
+        """Copy of this row with the tensors of the sites in chains
+        (n -> C_n) replaced; the other sites keep their factors."""
+        new = copy.copy(self)
+        new._chains = list(self._chains)
+        new._factors = list(self._factors)
+        for n, c in chains.items():
+            new._chains[n] = c
+            new._factors[n] = new._site_factors(n, c)
+        new.dtype = np.result_type(*[c.dtype for c in new._chains])
+        return new
+
+    _reversed = False
+
+    def _reverse_legs(self, v):
+        return v.reshape((self.D,) * self.L).transpose().ravel()
 
     def apply(self, v):
-        D, L = self.D, self.L
         v = np.asarray(v)
-        size = self.dim * D * D
+        if self._reversed:
+            v = self._reverse_legs(v)
+        charge = _ring_charges(self.n_occ, self.L)
+        out = np.zeros(self.dim, dtype=np.result_type(self.dtype, v.dtype))
+        sectors = np.flatnonzero(np.bincount(charge[v != 0], minlength=4))
+        for q in sectors:
+            vq = v if len(sectors) == 1 else np.where(charge == q, v, 0)
+            # exact zeros outside the output sector
+            out += np.where(charge == q ^ 3 * (self.L % 2),
+                            self._ring_pass(vq).ravel(), 0)
+        return self._reverse_legs(out) if self._reversed else out
+
+    def _buffers(self, dtype):
+        """Two stage outputs and one rank-sized product: work arrays kept
+        per row, and shared with its transpose and its modified copies, so
+        that a pass does not fault fresh pages in."""
+        size = self.n_occ * self.D ** (self.L + 1)
+        n_mid = size // (self.D * self.D) * max(
+            a.shape[1] for a, _ in self._factors[1:])
+        bufs = self._work.get(dtype)
+        if bufs is None or bufs[2].size < n_mid:
+            bufs = (np.empty(size, dtype), np.empty(size, dtype),
+                    np.empty(n_mid, dtype))
+            self._work[dtype] = bufs
+        return bufs
+
+    def _ring_pass(self, v):
+        """One compressed pass of a vector of a single sector; entries
+        outside its output sector are not meaningful."""
+        D, L, nocc = self.D, self.L, self.n_occ
         dtype = np.result_type(self.dtype, v.dtype)
-        flip, flop, mid, aux = self._buffers(size, dtype)
-        out = flip[:size].reshape(D * D * D, -1)
-        np.matmul(self.w0, v.reshape(D, -1), out=out)   # ((l0,u0,l1), d1..)
-        cur, nxt_buf = flip, flop
-        for j in range(1, L):
-            a, b = self.factors[j - 1]
-            r = a.shape[1]
-            rest = D ** (L - 1 - j)
-            batch = size // (D * D * rest)
-            out = out.reshape(batch, D * D, rest)       # middle = (l_j, d_j)
-            nxt = nxt_buf[:size].reshape(batch, D * D, rest)
-            if rest >= batch:
-                tmp = mid[:batch * r * rest].reshape(batch, r, rest)
-                np.matmul(a.T, out, out=tmp)
-                np.matmul(b.T, tmp, out=nxt)            # middle = (u_j, k)
-            else:
-                # bring the middle axis last so both products are plain
-                # GEMMs, then restore the axis order into the target buffer
-                tmp = mid[:size].reshape(batch, rest, D * D)
-                np.copyto(tmp, np.swapaxes(out, 1, 2))
-                g1 = aux[:batch * rest * r].reshape(-1, r)
-                np.matmul(tmp.reshape(-1, D * D), a, out=g1)
-                g2 = cur[:size].reshape(-1, D * D)      # old input, now free
-                np.matmul(g1, b, out=g2)
-                np.copyto(nxt, np.swapaxes(
-                    g2.reshape(batch, rest, D * D), 1, 2))
-            out = nxt
-            cur, nxt_buf = nxt_buf, cur
-        # axes now (l0, u_0..u_{L-1}, ring index); trace the ring closed
-        out = out.reshape(D, -1, D)
-        return np.array(out.diagonal(axis1=0, axis2=2).sum(axis=-1).ravel())
+        cur, nxt, mid = self._buffers(dtype)
+        w0 = self._factors[0]
+        out = np.matmul(w0, v.reshape(D, -1),                # (t0,u0,l1), d1..
+                        out=_part(cur, (len(w0), D ** (L - 1))))
+        for j in range(1, L - 1):
+            a, b = self._factors[j]
+            # middle axis (l_j, d_j) in, (u_j, l_{j+1}) out
+            x = out.reshape(-1, D * D, D ** (L - 1 - j))
+            y = np.matmul(a.T, x, out=_part(mid, (len(x), a.shape[1],
+                                                  x.shape[2])))
+            out = np.matmul(b.T, y, out=_part(nxt, x.shape))
+            cur, nxt = nxt, cur
+        # the last site leaves rows (t0, u_0..u_{L-2}) and closes the ring
+        a, b = self._factors[-1]
+        x = out.reshape(nocc, -1, D * D)
+        y = np.matmul(x, a, out=_part(mid, (nocc, x.shape[1], a.shape[1])))
+        return np.matmul(y, b, out=_part(nxt, (nocc, x.shape[1], D))).sum(
+            axis=0)
 
     def transpose_operator(self):
-        """RowOperator of the transposed matrix (u and d legs swapped)."""
-        chains = [c.transpose(0, 1, 3, 2) for c in self._chains]
-        return RowOperator(chains)
+        """RowOperator of the transposed matrix.
+
+        Swapping the u and d legs alone would cut each site across
+        (l, u) | (k, d), whose rank is near D*D.  The transposed row runs
+        round the ring the other way instead: the site order reversed and
+        l, k swapped as well, so its cuts keep this row's rank.  Its bond
+        index lists the legs in reverse order, which apply undoes.
+        """
+        op = RowOperator([c.transpose(1, 0, 3, 2) for c in self._chains[::-1]])
+        op._reversed = not self._reversed
+        op._work = self._work
+        return op
 
     def dense(self):
         """Explicit matrix (up index x down index); small L only."""
@@ -325,23 +417,40 @@ class CylinderTransferMatrix:
     z2: float
     circumference: int
     projected: bool
-    op: RowOperator = field(repr=False)
+    op: RowOperator = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._triangle = _triangles(self.z1, self.z2, self.projected)
+        self.op = RowOperator(self._chains(RowMods(),
+                                           range(self.circumference)))
+
+    def _chains(self, mods, sites):
+        return _site_chains(self._triangle, NETWORKS[self.projected].edge,
+                            mods, sites)
 
     @property
     def dim(self):
         return self.op.dim
 
+    @functools.cached_property
+    def op_t(self):
+        """The transposed row, built once."""
+        return self.op.transpose_operator()
+
     def modified(self, mods):
-        return RowOperator(_row_chains(self.z1, self.z2, self.circumference,
-                                       self.projected, mods))
+        """The row with mods.  Only the sites that mods touches are
+        rebuilt; the others keep the plain row's tensors and factors, and
+        each triangle insertion is built once per transfer matrix."""
+        sites = sorted(set(mods.up) | set(mods.down) | set(mods.e_v0)
+                       | set(mods.e_h) | set(mods.e_v2))
+        return self.op._with_sites(dict(zip(sites, self._chains(mods, sites))))
 
 
 def cylinder_transfer(z1, z2, L, projected=True):
     if L > 8:
         raise TnetError("circumference beyond 8 not supported")
-    return CylinderTransferMatrix(
-        z1=float(z1), z2=float(z2), circumference=L, projected=projected,
-        op=RowOperator(_row_chains(z1, z2, L, projected)))
+    return CylinderTransferMatrix(z1=float(z1), z2=float(z2),
+                                  circumference=L, projected=projected)
 
 
 # --- dominant eigenpairs --------------------------------------------------
@@ -349,22 +458,19 @@ def cylinder_transfer(z1, z2, L, projected=True):
 def parity_signs(projected, L):
     """(-1)^(dimer-bit ring sum) of the ket and bra layers on the bond space.
 
-    The transfer matrix conserves both parities for even L; each horizontal
-    exactly-one bond flips the ring parity once, so for odd L the parity
-    alternates row by row and no sector decomposition of a single row exists.
-    Topologically degenerate points split into near-degenerate dominant
-    eigenvalues across sectors; boundary fixed points are therefore computed
-    inside the identity sector (both parities even).
+    The two signs are the bits of the Z2 x Z2 charge of a bond index: the
+    XOR over its legs of c(s) = s // n_occ = 2 * (ket dimer) + (bra dimer).
+    Every row tensor has c(l) ^ c(k) ^ c(u) ^ c(d) = 3 (an exactly-one bond
+    flips both dimer bits), so round the ring a row maps charge Q to
+    Q ^ 3 * (L mod 2): for even L it conserves both parities, and for odd L
+    the parity alternates row by row and no sector decomposition of a
+    single row exists.  Topologically degenerate points split into
+    near-degenerate dominant eigenvalues across sectors; boundary fixed
+    points are therefore computed inside the identity sector (charge 0,
+    both parities even).
     """
-    n_occ = NETWORKS[projected].n_occ
-    leg = np.arange(4 * n_occ)
-    ak, ab = (leg // (2 * n_occ)) & 1, (leg // n_occ) & 1
-    sk = np.ones(1)
-    sb = np.ones(1)
-    for _ in range(L):
-        sk = np.kron(sk, (-1.0) ** ak)
-        sb = np.kron(sb, (-1.0) ** ab)
-    return sk, sb
+    charge = _ring_charges(NETWORKS[projected].n_occ, L)
+    return 1.0 - 2.0 * (charge >> 1), 1.0 - 2.0 * (charge & 1)
 
 
 @dataclass
@@ -424,11 +530,13 @@ def dominant_eigenpair(tm, tol=DEFAULT_TOL, right0=None, left0=None,
     def solve(base_apply, x0):
         if x0 is None:
             x0 = np.abs(rng.standard_normal(dim)) + 1e-3
+        # a row maps the identity sector into itself, with exact zeros
+        # outside it (even L; see RowOperator)
         x0 = np.asarray(x0, dtype=float) * m_id
-        return _power_iterate(lambda v: base_apply(v) * m_id, x0, tol)
+        return _power_iterate(base_apply, x0, tol)
 
     lam0, right, it_r, res_r = solve(op.apply, right0)
-    lam0l, left, it_l, res_l = solve(op.transpose_operator().apply, left0)
+    lam0l, left, it_l, res_l = solve(tm.op_t.apply, left0)
     if lam0 <= 0:
         raise TnetError("dominant eigenvalue is not positive")
     if abs(lam0 - lam0l) > 1e-6 * max(lam0, 1.0):
@@ -706,17 +814,21 @@ def phase_diagram_point(z1, z2, L, projected=True, loop_z=None, loop_x=None,
 
     dn/dz1 is a central difference of step fd_step whose two transfer
     matrices start from the central boundaries; fd_step=None leaves it NaN
-    for a caller that differences along its grid instead.  Returns
-    (record, warm) where warm holds the boundary vectors for warm-starting
-    the next grid point.
+    for a caller that differences along its grid instead.  The record also
+    holds the solver counters of the point: the power iterations of all
+    its boundary solves and their largest residual.  Returns (record, warm)
+    where warm holds the boundary vectors for warm-starting the next grid
+    point.
     """
     r0 = warm.get("right") if warm else None
     l0 = warm.get("left") if warm else None
+    solves = []
 
     def solve(zz1, compute_lam1=False, right0=None, left0=None):
         tm = cylinder_transfer(zz1, z2, L, projected)
         b = dominant_eigenpair(tm, tol, right0=right0, left0=left0,
                                compute_lam1=compute_lam1)
+        solves.append(b)
         return tm, b
 
     tm, b = solve(z1, compute_xi, r0, l0)
@@ -732,6 +844,8 @@ def phase_diagram_point(z1, z2, L, projected=True, loop_z=None, loop_x=None,
         "density": mean_density(tm, b, tol),
         "dn_dz1": dn_dz1,
         "xi": correlation_length(tm, b) if compute_xi else np.nan,
+        "iterations": sum(x.iterations for x in solves),
+        "residual": max(x.residual for x in solves),
     }
     rec["bffm_z_l18"] = (bffm(tm, loop_z, b, x_type=False, tol=tol)
                         if loop_z is not None else np.nan)

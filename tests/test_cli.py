@@ -264,6 +264,43 @@ def test_tn_grid_modes_agree(tmp_path):
                     "--out", str(tmp_path / "one")]) == 2
 
 
+def test_tn_manifests_record_the_boundary_solves(tmp_path):
+    # the total power iterations and the largest residual of the run's
+    # boundary solves, in the manifest and never in the CSV
+    z1s, z2s = [0.2, 0.3, 0.4], [0.3, 0.5]
+    cfg = write_config(tmp_path, "grid.json", {
+        "circumference": 2, "projected": True, "z1": z1s, "z2": z2s})
+    out = tmp_path / "grid"
+    assert run_cli(["tn-grid", "--config", cfg, "--out", str(out)]) == 0
+    recs, warm = [], None
+    for i2, z2 in enumerate(z2s):
+        for z1 in z1s if i2 % 2 == 0 else z1s[::-1]:
+            rec, warm = tnet.phase_diagram_point(z1, z2, 2, fd_step=None,
+                                                 compute_xi=False, warm=warm)
+            recs.append(rec)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["boundaries"] == {
+        "iterations": sum(r["iterations"] for r in recs),
+        "max_residual": max(r["residual"] for r in recs)}
+    assert list(read_csv(str(out / "grid.csv"))) == [
+        "z1", "z2", "density", "dn_dz1", "xi", "bffm_z_l18", "bffm_x_l18"]
+
+    loops = [{"shape": "hexagon", "radius": 1},
+             {"shape": "parallelogram", "w": 2, "h": 1}]
+    cfg = write_config(tmp_path, "scaling.json", {
+        "circumference": 4, "z2": 0.1, "z1": [0.2, 0.5], "loops": loops})
+    out = tmp_path / "scaling"
+    assert run_cli(["bffm-scaling", "--config", cfg, "--out", str(out)]) == 0
+    solves = [tnet.dominant_eigenpair(tnet.cylinder_transfer(z1, 0.1, 4),
+                                      compute_lam1=False) for z1 in (0.2, 0.5)]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["boundaries"] == {
+        "iterations": sum(b.iterations for b in solves),
+        "max_residual": max(b.residual for b in solves)}
+    assert list(read_csv(str(out / "bffm_scaling.csv"))) == [
+        "z1", "z2", "perimeter", "shape", "bffm_z", "bffm_x"]
+
+
 def test_tn_grid_rejects_z1_that_does_not_increase(tmp_path):
     # np.gradient over an unsorted or repeated z1 grid wrote wrong-signed,
     # inf or nan dn_dz1 and exited 0

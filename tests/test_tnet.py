@@ -5,13 +5,13 @@ from rvbprep.ansatz import AnsatzBuilder
 from rvbprep.geometry import (build_cluster, hexagon_loop, loop_block_span,
                               parallelogram_loop)
 from rvbprep.hilbert import cover_bitsets, full_basis
-from rvbprep.tnet import (RowMods, RowOperator, TnetError, bffm,
+from rvbprep.tnet import (ENDCAP, RowMods, RowOperator, TnetError, bffm,
                           correlation_length, cylinder_transfer, density,
-                          dominant_eigenpair,
+                          dominant_eigenpair, double_edge_matrix,
                           double_triangle_tensor, mean_density,
                           parity_signs, phase_diagram_point,
                           single_triangle_tensor, string_expectation,
-                          torus_amplitudes, _row_chains)
+                          torus_amplitudes, _loop_mods, _row_chains)
 
 
 # excitation bit of each side for every triangle state: projected, the empty
@@ -70,29 +70,177 @@ def test_double_triangle_tensor_matches_ket_bra_oracle(projected, z1, z2,
     assert np.allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
 
 
-def ring_dense(chains):
-    """Row transfer matrix by direct ring contraction (oracle)."""
+def open_chain(chains):
+    """T[l, k, U, V] of consecutive sites, the ring left open."""
     cur = chains[0]                                   # l, k, u, d
     for c in chains[1:]:
         cur = np.einsum("lkud,kmxy->lmuxdy", cur, c)
         s = cur.shape
         cur = cur.reshape(s[0], s[1], s[2] * s[3], s[4] * s[5])
-    return np.einsum("lluv->uv", cur)
+    return cur
 
 
-@pytest.mark.parametrize("projected,L", [(True, 2), (False, 2), (False, 3)])
-def test_row_operator_matches_ring_contraction(projected, L):
-    chains = _row_chains(0.35, 0.6, L, projected)
+def ring_dense(chains):
+    """Row transfer matrix by direct ring contraction (oracle): two open
+    half rings joined at both ends."""
+    h = len(chains) // 2
+    left, right = open_chain(chains[:h]), open_chain(chains[h:])
+    mat = np.tensordot(left, right, axes=([0, 1], [1, 0]))   # U, V, X, Y
+    n_up = left.shape[2] * right.shape[2]
+    return mat.transpose(0, 2, 1, 3).reshape(n_up, n_up)
+
+
+def bond_charges(projected, L):
+    """Z2 x Z2 charge of each bond index: the XOR over its L legs of the
+    leg's (ket dimer, bra dimer) bits, leg s = (2a + b) * n_occ + alpha."""
+    n_occ = 2 if projected else 1
+    D = 4 * n_occ
+    digits = np.arange(D ** L)[:, None] // D ** np.arange(L)[::-1] % D
+    return np.bitwise_xor.reduce(digits // n_occ, axis=1)
+
+
+@pytest.fixture(scope="module")
+def ring_oracles():
+    """(chains, ring_dense) per (projected, L), each built once."""
+    cache = {}
+
+    def get(projected, L):
+        if (projected, L) not in cache:
+            chains = _row_chains(0.35, 0.6, L, projected)
+            cache[projected, L] = chains, ring_dense(chains)
+        return cache[projected, L]
+    return get
+
+
+@pytest.mark.parametrize("projected,L", [
+    (True, 2), (False, 2), (False, 3), (True, 3), (True, 4), (False, 4)])
+def test_row_operator_matches_ring_contraction(ring_oracles, projected, L):
+    chains, want = ring_oracles(projected, L)
     op = RowOperator(chains)
-    want = ring_dense(chains)
-    got = op.dense()
-    assert np.allclose(got, want, atol=1e-12 * np.max(np.abs(want)))
-    # matrix-free apply on a random vector
+    if op.dim <= 512:
+        got = op.dense()
+        assert np.allclose(got, want, atol=1e-12 * np.max(np.abs(want)))
+    # matrix-free apply on a random vector of all four sectors
     rng = np.random.default_rng(31)
     v = rng.standard_normal(op.dim)
     assert np.allclose(op.apply(v), want @ v, atol=1e-10)
     assert np.allclose(op.transpose_operator().apply(v), want.T @ v,
                        atol=1e-10)
+    _assert_matches_in_each_sector(op, want, bond_charges(projected, L), L,
+                                   41 + L)
+
+
+def _assert_matches_in_each_sector(op, want, charge, L, seed):
+    # a vector of one sector Q lands in Q ^ 3 (L mod 2), with exact zeros
+    # in the other three; both the row and its transpose
+    rng = np.random.default_rng(seed)
+    scale = np.max(np.abs(want))
+    op_t = op.transpose_operator()
+    for q in range(4):
+        v = rng.standard_normal(op.dim) * (charge == q)
+        outside = charge != (q ^ 3 * (L % 2))
+        for got, mat in ((op.apply(v), want), (op_t.apply(v), want.T)):
+            ref = mat @ v
+            assert np.max(np.abs(ref[outside])) < 1e-12 * scale
+            assert np.all(got[outside] == 0.0)
+            assert np.allclose(got, ref, rtol=0,
+                               atol=1e-12 * scale * np.abs(v).sum())
+
+
+@pytest.mark.parametrize("projected,L,loops", [
+    (True, 4, True), (False, 4, True), (True, 2, False), (False, 6, False)])
+def test_row_tensors_conserve_the_dimer_charge(projected, L, loops):
+    # every nonzero C_n[l, k, u, d] has c(l) ^ c(k) ^ c(u) ^ c(d) = 3 with
+    # c(s) = s // n_occ, on plain rows and on every row of the loops
+    D = 8 if projected else 4
+    rule = bond_charges(projected, 4).reshape(D, D, D, D)
+    rows = [RowMods()]
+    if loops:
+        loop = parallelogram_loop("diagonal", 4, 1)
+        for open_string in (False, True):
+            for x_type in (False, True) if projected else (False,):
+                rows += _loop_mods(loop, L, open_string, x_type).values()
+    for mods in rows:
+        for C in _row_chains(0.35, 0.6, L, projected, mods):
+            assert np.all(C[rule != 3] == 0.0)
+            assert np.any(C[rule == 3] != 0.0)
+
+
+def test_replaced_site_of_higher_rank_matches_ring_contraction():
+    # a random charge-conserving site has a full-rank cut; a row copy that
+    # replaces a site still applies exactly, with work arrays it shares
+    # with the row it came from grown to the new rank
+    chains = _row_chains(0.35, 0.6, 3, True)
+    op = RowOperator(chains)
+    charge = bond_charges(True, 3)
+    v = np.random.default_rng(4).standard_normal(op.dim)
+    assert np.allclose(op.apply(v), ring_dense(chains) @ v, rtol=1e-12)
+    rule = bond_charges(True, 4).reshape(8, 8, 8, 8)
+    site = np.random.default_rng(5).standard_normal(rule.shape) * (rule == 3)
+    new = op._with_sites({1: site})
+    assert max(a.shape[1] for a, _ in new._factors[1:]) == 64
+    want = ring_dense([chains[0], site, chains[2]])
+    _assert_matches_in_each_sector(new, want, charge, 3, 6)
+    assert np.allclose(new.apply(v), want @ v, rtol=1e-12)
+    assert np.allclose(op.apply(v), ring_dense(chains) @ v, rtol=1e-12)
+
+
+def test_row_breaking_the_charge_is_refused():
+    chains = _row_chains(0.35, 0.6, 2, True)
+    bad = chains[1].copy()
+    bad[0, 0, 0, 0] = 1.0                     # charge 0, not 3
+    with pytest.raises(TnetError):
+        RowOperator([chains[0], bad])
+    with pytest.raises(TnetError):
+        RowOperator(chains[:1])
+
+
+@pytest.mark.parametrize("x_type", [False, True])
+@pytest.mark.parametrize("open_string", [False, True])
+def test_modified_rows_match_a_from_scratch_build(monkeypatch, open_string,
+                                                  x_type):
+    loop = parallelogram_loop("diagonal", 4, 1)
+    tm = cylinder_transfer(0.35, 0.25, 4)
+    v = np.random.default_rng(17).standard_normal(tm.dim)
+    rows = _loop_mods(loop, 4, open_string, x_type)
+    want = {m: RowOperator(_row_chains(tm.z1, tm.z2, 4, True, mods)).apply(v)
+            for m, mods in rows.items()}
+    built = []
+    site_factors = RowOperator._site_factors
+
+    def spy(self, n, c):
+        built.append(n)
+        return site_factors(self, n, c)
+    monkeypatch.setattr(RowOperator, "_site_factors", spy)
+    for m, mods in rows.items():
+        touched = (set(mods.up) | set(mods.down) | set(mods.e_v0)
+                   | set(mods.e_h) | set(mods.e_v2))
+        del built[:]
+        got = tm.modified(mods).apply(v)
+        assert sorted(built) == sorted(touched)      # only those rebuilt
+        assert np.array_equal(got, want[m])
+    assert np.array_equal(tm.op.apply(v),
+                          RowOperator(_row_chains(tm.z1, tm.z2, 4)).apply(v))
+
+
+def test_transposed_row_is_built_once(monkeypatch):
+    tm = cylinder_transfer(0.3, 0.4, 2)
+    calls = []
+    transpose = RowOperator.transpose_operator
+
+    def spy(self):
+        calls.append(1)
+        return transpose(self)
+    monkeypatch.setattr(RowOperator, "transpose_operator", spy)
+    b1 = dominant_eigenpair(tm)
+    b2 = dominant_eigenpair(tm, right0=b1.right, left0=b1.left)
+    assert len(calls) == 1
+    assert tm.op_t is tm.op_t
+    assert b2.lam0 == pytest.approx(b1.lam0, rel=1e-9)
+    # transposing twice gives the row back
+    v = np.random.default_rng(2).standard_normal(tm.dim)
+    assert np.allclose(tm.op_t.transpose_operator().apply(v), tm.op.apply(v),
+                       rtol=0, atol=1e-13 * np.abs(tm.op.apply(v)).max())
 
 
 def test_row_operator_with_insertions_matches_oracle():
@@ -103,6 +251,18 @@ def test_row_operator_with_insertions_matches_oracle():
     op = RowOperator(chains)
     want = ring_dense(chains)
     assert np.allclose(op.dense(), want, atol=1e-12 * np.max(np.abs(want)))
+    _assert_matches_in_each_sector(op, want, bond_charges(True, 2), 2, 52)
+    # row 0 of the open x string carries X insertions and an ENDCAP edge
+    loop = parallelogram_loop("diagonal", 4, 1)
+    mods = _loop_mods(loop, 4, True, True)[0]
+    endcaps = [double_edge_matrix(ENDCAP), double_edge_matrix(ENDCAP.T)]
+    edges = list(mods.e_v0.values()) + list(mods.e_v2.values())
+    assert any(np.array_equal(e, c) for e in edges for c in endcaps)
+    assert any(mod[0] == "xstring"
+               for mod in list(mods.up.values()) + list(mods.down.values()))
+    chains = _row_chains(0.35, 0.6, 4, True, mods)
+    _assert_matches_in_each_sector(RowOperator(chains), ring_dense(chains),
+                                   bond_charges(True, 4), 4, 53)
 
 
 def test_modified_with_no_mods_is_identity_change():
@@ -113,16 +273,21 @@ def test_modified_with_no_mods_is_identity_change():
 
 
 def test_transfer_conserves_ring_parity():
+    # a row maps each parity sector into itself (even L), with exact zeros
+    # outside it; the sign pair is the bits of the sector's charge
     tm = cylinder_transfer(0.3, 0.4, 2)
     sk, sb = parity_signs(True, 2)
+    charge = bond_charges(True, 2)
+    assert np.array_equal(sk < 0, charge >= 2)
+    assert np.array_equal(sb < 0, charge % 2 == 1)
     rng = np.random.default_rng(9)
     for mk, mb in ((sk > 0, sb > 0), (sk < 0, sb < 0),
                    (sk > 0, sb < 0), (sk < 0, sb > 0)):
         mask = (mk & mb).astype(float)
         v = rng.standard_normal(tm.dim) * mask
-        w = tm.op.apply(v)
-        assert np.max(np.abs(w * (1.0 - mask))) < 1e-12 * max(
-            1.0, np.max(np.abs(w)))
+        for w in (tm.op.apply(v), tm.op_t.apply(v)):
+            assert np.all(w[mask == 0] == 0.0)
+            assert np.all(w[mask == 1] != 0.0)
 
 
 def test_dominant_eigenpair_matches_dense_sector():
@@ -210,7 +375,12 @@ def test_string_expectations_and_bffm():
 def test_phase_diagram_point_record():
     rec, warm = phase_diagram_point(0.3, 0.3, 2, compute_xi=True)
     assert set(rec) == {"z1", "z2", "density", "dn_dz1", "xi",
-                        "bffm_z_l18", "bffm_x_l18"}
+                        "bffm_z_l18", "bffm_x_l18", "iterations", "residual"}
+    # the counters sum the three boundary solves (central, z1 -/+ fd_step)
+    tm = cylinder_transfer(0.3, 0.3, 2)
+    b = dominant_eigenpair(tm)
+    assert rec["iterations"] > b.iterations
+    assert 0.0 <= rec["residual"] <= 1e-10 * 1.01 * b.lam0
     assert 0 < rec["density"] < 0.25
     assert rec["dn_dz1"] < 0
     assert rec["xi"] > 0
