@@ -300,11 +300,11 @@ def _record_sector(run, n_atoms, op):
 def _record_boundaries(run, counters):
     """Add the transfer-matrix solver counters of a run to the manifest:
     the power iterations of all its boundary solves and their largest
-    residual, from (iterations, residual) pairs.  The CSVs never hold
-    them, so reruns stay byte-identical."""
+    residual relative to lam0, from (iterations, residual_ratio) pairs.
+    The CSVs never hold them, so reruns stay byte-identical."""
     run.manifest["boundaries"] = {
         "iterations": int(sum(it for it, _ in counters)),
-        "max_residual": float(max(res for _, res in counters))}
+        "max_residual_ratio": float(max(res for _, res in counters))}
 
 
 # --- verbs ----------------------------------------------------------------
@@ -428,6 +428,12 @@ def cmd_fit(cfg, run):
         for r, t in zip(ratios, checks):
             snapshots.append((float(r), traj.snapshots[t]))
     results = fit_trajectory(snapshots, covers, basis)
+    # solver counters for the manifest only, so reruns stay byte-identical
+    fits = [fit for _, fit in results if fit is not None]
+    run.manifest["fit"] = {
+        "evaluations": sum(fit.n_evaluations for fit in fits),
+        "max_gradient_norm": max((fit.gradient_norm for fit in fits),
+                                 default=None)}
     rows = []
     for label, fit in results:
         if fit is None:
@@ -469,7 +475,7 @@ def cmd_tn_grid(cfg, run):
             rec, warm = tnet.phase_diagram_point(
                 float(z1), float(z2), L, projected, loop_z, loop_x,
                 fd_step=None, compute_xi=not projected, warm=warm)
-            boundaries.append((rec["iterations"], rec["residual"]))
+            boundaries.append((rec["iterations"], rec["residual_ratio"]))
             row.append(rec)
         row.sort(key=lambda r: r["z1"])
         grad = np.gradient(np.array([r["density"] for r in row]), z1s)
@@ -493,7 +499,7 @@ def cmd_bffm_scaling(cfg, run):
     for z1 in _grid(cfg, "z1"):
         tm = tnet.cylinder_transfer(float(z1), float(z2), L, True)
         b = tnet.dominant_eigenpair(tm, compute_lam1=False)
-        boundaries.append((b.iterations, b.residual))
+        boundaries.append((b.iterations, b.residual / b.lam0))
         for spec, loop in loops:
             bz = tnet.bffm(tm, loop, b, x_type=False)
             bx = tnet.bffm(tm, loop, b, x_type=True)

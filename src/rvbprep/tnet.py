@@ -480,7 +480,7 @@ class Boundaries:
     left: np.ndarray
     right: np.ndarray
     iterations: int
-    residual: float
+    residual: float         # ||T r - lam0 r|| of the unit r, not over lam0
 
 
 def _power_iterate(matvec, x, tol):
@@ -816,7 +816,8 @@ def phase_diagram_point(z1, z2, L, projected=True, loop_z=None, loop_x=None,
     matrices start from the central boundaries; fd_step=None leaves it NaN
     for a caller that differences along its grid instead.  The record also
     holds the solver counters of the point: the power iterations of all
-    its boundary solves and their largest residual.  Returns (record, warm)
+    its boundary solves and their largest residual relative to lam0
+    (residual_ratio).  Returns (record, warm)
     where warm holds the boundary vectors for warm-starting the next grid
     point.
     """
@@ -845,7 +846,7 @@ def phase_diagram_point(z1, z2, L, projected=True, loop_z=None, loop_x=None,
         "dn_dz1": dn_dz1,
         "xi": correlation_length(tm, b) if compute_xi else np.nan,
         "iterations": sum(x.iterations for x in solves),
-        "residual": max(x.residual for x in solves),
+        "residual_ratio": max(x.residual / x.lam0 for x in solves),
     }
     rec["bffm_z_l18"] = (bffm(tm, loop_z, b, x_type=False, tol=tol)
                         if loop_z is not None else np.nan)

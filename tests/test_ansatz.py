@@ -1,16 +1,46 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
+from rvbprep import ansatz
 from rvbprep.ansatz import (AnsatzBuilder, AnsatzError, AnsatzParams,
-                            DEFAULT_SEEDS, build_ansatz, fit_to_state,
-                            fit_trajectory)
+                            DEFAULT_SEEDS, GRAD_TOL, OVERFLOW_GUARD,
+                            build_ansatz, fit_to_state, fit_trajectory)
 from rvbprep.geometry import build_cluster
 from rvbprep.hilbert import StateVector, enumerate_maximal_covers, full_basis
+from rvbprep.model import HamiltonianOperator, HamiltonianSpec
+from rvbprep.spectrum import groundstate
 
 
 @pytest.fixture(scope="module")
 def builder12(covers12, basis12):
     return AnsatzBuilder(covers12, basis12)
+
+
+@pytest.fixture(scope="module")
+def builder24(covers24, basis24):
+    return AnsatzBuilder(covers24, basis24)
+
+
+@pytest.fixture(scope="module")
+def ground_states24(cluster24, basis24):
+    """Warm-started PXP ground states at the Delta/Omega = 1.0, ..., 2.1 of
+    the fit-tee benchmark workload's grid."""
+    op = HamiltonianOperator(HamiltonianSpec(), basis24, cluster24)
+    states, v0 = [], None
+    for ratio in 1.0 + 0.1 * np.arange(12):
+        gs = groundstate(op, 1.0, ratio, v0=v0)
+        v0 = gs.state.amplitudes
+        states.append(gs.state)
+    return states
+
+
+def z_deviation(p, q):
+    """Largest deviation of the fitted z columns in verify's measure,
+    |a - b| / (1 + |a|)."""
+    return max(abs(a - b) / (1.0 + abs(a))
+               for a, b in ((p.z1.real, q.z1.real), (p.z1.imag, q.z1.imag),
+                            (p.z2.real, q.z2.real), (p.z2.imag, q.z2.imag)))
 
 
 def operator_product_oracle(covers, basis, z1, z2):
@@ -187,17 +217,180 @@ def test_fit_counts_every_evaluation_and_reports_state_overlap(
         covers12, basis12, builder12, monkeypatch):
     target = builder12.build(0.8, 0.35 + 0.1j)
     calls = []
-    for name in ("coefficients", "vacuum_coefficients"):
-        method = getattr(builder12, name)
-        monkeypatch.setattr(builder12, name,
-                            lambda *a, f=method: calls.append(a) or f(*a))
+    method = builder12.squared_overlap
+    monkeypatch.setattr(builder12, "squared_overlap",
+                        lambda *a: calls.append(a) or method(*a))
     fit = fit_to_state(target, covers12, basis12, builder=builder12,
                        max_evals=300)
-    # one call per evaluation of every start, plus the returned state
-    assert fit.n_evaluations == len(calls) - 1
-    assert fit.n_evaluations > 300
+    # one call per value and gradient of every start and of the polish
+    assert fit.n_evaluations == len(calls)
+    assert {vacuum for *_, vacuum in calls} == {False, True}
+    assert len(calls) > len(DEFAULT_SEEDS)
     monkeypatch.undo()
     assert fit.limb == "rvb"
     want = abs(np.vdot(builder12.build_params(fit.params).amplitudes,
                        target.amplitudes))
     assert fit.overlap == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def test_evaluation_cap_holds_per_start(covers12, basis12, builder12,
+                                        monkeypatch):
+    target = builder12.build(0.8, 0.35 + 0.1j)
+    starts = []
+
+    def spy(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        starts.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(ansatz, "minimize", spy)
+    fit = fit_to_state(target, covers12, basis12, builder=builder12,
+                       max_evals=3)
+    assert len(starts) == len(DEFAULT_SEEDS)
+    # L-BFGS-B checks the cap after each line search, of at most 20 steps;
+    # the polish adds at most 3 x (8 + 1) evaluations
+    assert all(n <= 3 + 20 for n in starts)
+    assert sum(starts) <= fit.n_evaluations <= sum(starts) + 27
+
+
+def squared_overlap_by_differences(builder, moments, a, z2, vacuum, h=1e-6):
+    """Central differences of builder.overlap ** 2 in
+    (Re a, Im a, Re z2, Im z2)."""
+    coefficients = (builder.vacuum_coefficients if vacuum
+                    else builder.coefficients)
+    x = np.array([a.real, a.imag, z2.real, z2.imag])
+
+    def f2(x):
+        return builder.overlap(coefficients(complex(x[0], x[1]),
+                                            complex(x[2], x[3])),
+                               moments) ** 2
+
+    grad = np.empty(4)
+    for i in range(4):
+        dx = np.zeros(4)
+        dx[i] = h
+        grad[i] = (f2(x + dx) - f2(x - dx)) / (2.0 * h)
+    return f2(x), grad
+
+
+@pytest.mark.parametrize("unconstrained", [False, True])
+def test_squared_overlap_gradient_matches_differences(covers12, basis12,
+                                                      unconstrained):
+    basis = full_basis(12) if unconstrained else basis12
+    builder = AnsatzBuilder(covers12, basis)
+    rng = np.random.default_rng(11)
+    # z2 = 0, z1 = 0 and w1 = 0 meet 0^0 in the table and its derivatives
+    special = [(0.0, 0.0), (0.4 - 0.2j, 0.0), (0.0, 0.3 + 0.1j)]
+    for _ in range(3):
+        psi = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+        moments = builder.moments(psi / np.linalg.norm(psi))
+        points = special + [tuple(rng.normal(size=2) + 1j * rng.normal(size=2))
+                            for _ in range(4)]
+        for vacuum in (False, True):
+            for a, z2 in points:
+                a, z2 = complex(a), complex(z2)
+                want_f2, want = squared_overlap_by_differences(
+                    builder, moments, a, z2, vacuum)
+                f2, grad = builder.squared_overlap(a, z2, moments, vacuum)
+                assert f2 == pytest.approx(want_f2, rel=1e-12, abs=1e-15)
+                assert np.allclose(grad, want, rtol=1e-6, atol=1e-8)
+
+
+def test_squared_overlap_rejects_points_beyond_the_guard(builder12):
+    moments = builder12.moments(builder12.build(0.3, 0.2).amplitudes)
+    for vacuum in (False, True):
+        with pytest.raises(AnsatzError):
+            builder12.squared_overlap(2 * OVERFLOW_GUARD, 0.1, moments,
+                                      vacuum)
+        # B grows as |coef|^2, up to |u|^(2 nd) with u = 1 + z1 z2
+        f2, grad = builder12.squared_overlap(0.9 * OVERFLOW_GUARD,
+                                             0.9 * OVERFLOW_GUARD, moments,
+                                             vacuum)
+        assert np.isfinite(f2) and np.all(np.isfinite(grad))
+
+
+def nelder_mead_fit(builder, psi, warm_start=None):
+    """The multistart Nelder-Mead fit that L-BFGS replaced, kept as a
+    reference: a 4-real-parameter simplex per start on the overlap (xatol
+    1e-6, fatol 1e-14, at most 2000 evaluations), with the same starts and
+    limb rule.  Returns (overlap of the best start's state, its params)."""
+    moments = builder.moments(psi.normalized().amplitudes)
+    starts = [(complex(a), complex(b)) for a, b in DEFAULT_SEEDS]
+    if warm_start is not None:
+        z1 = warm_start.z1 if not warm_start.vacuum_limit else 1e9
+        starts.append((z1, warm_start.z2))
+    best = None
+    for z1s, z2s in starts:
+        vacuum = abs(z1s) >= 5.0
+        a = ((0.0 if abs(z1s) > OVERFLOW_GUARD else 1.0 / z1s) if vacuum
+             else z1s)
+        coefficients = (builder.vacuum_coefficients if vacuum
+                        else builder.coefficients)
+
+        def negative_overlap(x):
+            try:
+                return -builder.overlap(coefficients(complex(x[0], x[1]),
+                                                     complex(x[2], x[3])),
+                                        moments)
+            except AnsatzError:
+                return 0.0
+
+        res = minimize(negative_overlap,
+                       np.array([a.real, a.imag, z2s.real, z2s.imag]),
+                       method="Nelder-Mead",
+                       options={"xatol": 1e-6, "fatol": 1e-14,
+                                "maxfev": 2000, "maxiter": 2000})
+        if best is None or res.fun < best[1].fun:
+            best = (vacuum, res, coefficients)
+    vacuum, res, coefficients = best
+    a, z2 = complex(res.x[0], res.x[1]), complex(res.x[2], res.x[3])
+    phi = builder.state(coefficients(a, z2))
+    z1 = (np.inf if a == 0 else 1.0 / a) if vacuum else a
+    overlap = abs(np.vdot(phi.amplitudes, psi.normalized().amplitudes))
+    return overlap, AnsatzParams(z1, z2)
+
+
+def test_fit_matches_nelder_mead_on_the_benchmark_grid(
+        covers24, basis24, builder24, ground_states24):
+    warm, warm_nm = None, None
+    for psi in ground_states24:
+        fit = fit_to_state(psi, covers24, basis24, warm_start=warm,
+                           builder=builder24)
+        want, warm_nm = nelder_mead_fit(builder24, psi, warm_nm)
+        assert fit.overlap >= want - 1e-12
+        assert fit.converged and fit.gradient_norm <= GRAD_TOL
+        warm = fit.params
+
+
+def test_fitted_z_follows_the_target(covers24, basis24, builder24,
+                                     ground_states24):
+    # a 1e-14 relative change of the snapshot moves z by rounding only
+    rng = np.random.default_rng(3)
+    for psi in ground_states24[::4]:
+        fit = fit_to_state(psi, covers24, basis24, builder=builder24)
+        noise = (rng.normal(size=basis24.dim)
+                 + 1j * rng.normal(size=basis24.dim))
+        perturbed = StateVector(basis24,
+                                psi.amplitudes * (1.0 + 1e-14 * noise))
+        again = fit_to_state(perturbed, covers24, basis24, builder=builder24)
+        assert z_deviation(fit.params, again.params) <= 1e-9
+
+
+def test_converged_reads_the_gradient_at_the_optimum(covers24, basis24,
+                                                     builder24,
+                                                     ground_states24):
+    psi = ground_states24[8]
+    fit = fit_to_state(psi, covers24, basis24, builder=builder24)
+    moments = builder24.moments(psi.normalized().amplitudes)
+    # both limbs reach this optimum; the fit reports the one it ran on
+    vacuum = fit.limb == "vacuum"
+    a = 1.0 / fit.params.z1 if vacuum else fit.params.z1
+    f2, grad = builder24.squared_overlap(a, fit.params.z2, moments, vacuum)
+    assert fit.converged
+    assert fit.gradient_norm == pytest.approx(np.linalg.norm(grad),
+                                              rel=0, abs=1e-13)
+    assert f2 == pytest.approx(fit.overlap ** 2, rel=1e-13)
+    # a start capped after a few evaluations is far from the optimum
+    capped = fit_to_state(psi, covers24, basis24, builder=builder24,
+                          max_evals=1)
+    assert capped.gradient_norm > GRAD_TOL and not capped.converged

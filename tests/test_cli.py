@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from rvbprep import cli, entangle, model, tnet
+from rvbprep.ansatz import GRAD_TOL, fit_trajectory
 from rvbprep.evolve import evolve_sweep
 from rvbprep.geometry import build_cluster, constraint_graph
 from rvbprep.hilbert import abs_state, enumerate_basis
@@ -241,6 +242,42 @@ def test_fit_verb(tmp_path):
     assert [r["n_atoms"] for r in manifest["sector"]] == [12]
 
 
+def test_fit_manifest_records_the_solver_counters(tmp_path, op12, covers12,
+                                                  basis12):
+    # the objective evaluations of every fit and the largest gradient norm
+    # at an optimum, in the manifest and never in the CSV
+    ratios = [0.8, 1.6, 2.4]
+    cfg = write_config(tmp_path, "c.json", {
+        "n_atoms": 12, "delta_over_omega": ratios})
+    out = tmp_path / "out"
+    assert run_cli(["fit", "--config", cfg, "--out", str(out)]) == 0
+    snapshots, v0 = [], None
+    for r in ratios:
+        gs = groundstate(op12, 1.0, r, v0=v0)
+        v0 = gs.state.amplitudes
+        snapshots.append((r, gs.state))
+    fits = [fit for _, fit in fit_trajectory(snapshots, covers12, basis12)]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["fit"] == {
+        "evaluations": sum(fit.n_evaluations for fit in fits),
+        "max_gradient_norm": max(fit.gradient_norm for fit in fits)}
+    assert manifest["fit"]["max_gradient_norm"] <= GRAD_TOL
+    assert list(read_csv(str(out / "fits.csv"))) == [
+        "delta_over_omega", "overlap", "re_z1", "im_z1", "re_z2", "im_z2",
+        "converged"]
+
+
+@pytest.mark.parametrize("name", ["fig2_fit", "fig2_fit_sweep_T25",
+                                  "fig2_fit_sweep_T50", "fig2_fit_sweep_T90"])
+def test_fig2_goldens_converged_on_every_row(name):
+    cols = read_csv(golden_path(name, "fits.csv"))
+    assert np.all(cols["converged"] == 1.0)
+    with open(os.path.join(os.path.dirname(golden_path(name, "fits.csv")),
+                           "manifest.json")) as fh:
+        record = json.load(fh)["fit"]
+    assert 0.0 <= record["max_gradient_norm"] <= GRAD_TOL
+
+
 def test_tn_grid_modes_agree(tmp_path):
     # the grid column of dn_dz1 against a local central difference
     z1s = [0.2, 0.3, 0.4, 0.5]
@@ -281,7 +318,7 @@ def test_tn_manifests_record_the_boundary_solves(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["boundaries"] == {
         "iterations": sum(r["iterations"] for r in recs),
-        "max_residual": max(r["residual"] for r in recs)}
+        "max_residual_ratio": max(r["residual_ratio"] for r in recs)}
     assert list(read_csv(str(out / "grid.csv"))) == [
         "z1", "z2", "density", "dn_dz1", "xi", "bffm_z_l18", "bffm_x_l18"]
 
@@ -296,9 +333,25 @@ def test_tn_manifests_record_the_boundary_solves(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["boundaries"] == {
         "iterations": sum(b.iterations for b in solves),
-        "max_residual": max(b.residual for b in solves)}
+        "max_residual_ratio": max(b.residual / b.lam0 for b in solves)}
     assert list(read_csv(str(out / "bffm_scaling.csv"))) == [
         "z1", "z2", "perimeter", "shape", "bffm_z", "bffm_x"]
+
+
+def test_tn_manifest_residual_is_relative_to_lam0(tmp_path):
+    # on the unprojected network lam0 grows far beyond 1 with z; each
+    # solve stops below DEFAULT_TOL * lam0, and the manifest reads so
+    z1s, z2s = [1.0, 2.0], [1.0, 2.0]
+    cfg = write_config(tmp_path, "grid.json", {
+        "circumference": 4, "projected": False, "z1": z1s, "z2": z2s})
+    out = tmp_path / "grid"
+    assert run_cli(["tn-grid", "--config", cfg, "--out", str(out)]) == 0
+    solves = [tnet.dominant_eigenpair(tnet.cylinder_transfer(z1, z2, 4,
+                                                             False))
+              for z1 in z1s for z2 in z2s]
+    assert max(b.residual for b in solves) > 1.0
+    boundaries = json.loads((out / "manifest.json").read_text())["boundaries"]
+    assert 0.0 < boundaries["max_residual_ratio"] <= 1.01 * tnet.DEFAULT_TOL
 
 
 def test_tn_grid_rejects_z1_that_does_not_increase(tmp_path):
