@@ -297,14 +297,21 @@ def _record_sector(run, n_atoms, op):
     run._write()
 
 
-def _record_boundaries(run, counters):
+TN_PHASES = ("transfer_s", "boundaries_s", "observables_s")
+
+
+def _record_boundaries(run, counters, seconds):
     """Add the transfer-matrix solver counters of a run to the manifest:
     the power iterations of all its boundary solves and their largest
-    residual relative to lam0, from (iterations, residual_ratio) pairs.
-    The CSVs never hold them, so reruns stay byte-identical."""
+    residual relative to lam0, from (iterations, residual_ratio) pairs;
+    and, under ``seconds``, the wall time the run spent in each of
+    TN_PHASES: building transfer matrices, solving their boundaries and
+    evaluating observables.  The CSVs never hold them, so reruns stay
+    byte-identical."""
     run.manifest["boundaries"] = {
         "iterations": int(sum(it for it, _ in counters)),
         "max_residual_ratio": float(max(res for _, res in counters))}
+    run.manifest["seconds"] = {k: round(seconds[k], 3) for k in TN_PHASES}
 
 
 # --- verbs ----------------------------------------------------------------
@@ -467,6 +474,7 @@ def cmd_tn_grid(cfg, run):
     records = []
     warm = None
     boundaries = []
+    seconds = dict.fromkeys(TN_PHASES, 0.0)
     for i2, z2 in enumerate(z2s):
         # serpentine ordering keeps successive points close for warm starts
         order = list(z1s) if i2 % 2 == 0 else list(z1s)[::-1]
@@ -476,6 +484,8 @@ def cmd_tn_grid(cfg, run):
                 float(z1), float(z2), L, projected, loop_z, loop_x,
                 fd_step=None, compute_xi=not projected, warm=warm)
             boundaries.append((rec["iterations"], rec["residual_ratio"]))
+            for k in TN_PHASES:
+                seconds[k] += rec[k]
             row.append(rec)
         row.sort(key=lambda r: r["z1"])
         grad = np.gradient(np.array([r["density"] for r in row]), z1s)
@@ -485,7 +495,7 @@ def cmd_tn_grid(cfg, run):
     cols = ["z1", "z2", "density", "dn_dz1", "xi", "bffm_z_l18", "bffm_x_l18"]
     write_csv(run.path("grid.csv"), cols,
               [[rec[c] for c in cols] for rec in records])
-    _record_boundaries(run, boundaries)
+    _record_boundaries(run, boundaries, seconds)
     return ["grid.csv"]
 
 
@@ -496,17 +506,24 @@ def cmd_bffm_scaling(cfg, run):
     z2 = _need(cfg, "z2", (int, float))
     rows = []
     boundaries = []
+    seconds = dict.fromkeys(TN_PHASES, 0.0)
     for z1 in _grid(cfg, "z1"):
+        t0 = time.perf_counter()
         tm = tnet.cylinder_transfer(float(z1), float(z2), L, True)
+        t1 = time.perf_counter()
         b = tnet.dominant_eigenpair(tm, compute_lam1=False)
+        t2 = time.perf_counter()
         boundaries.append((b.iterations, b.residual / b.lam0))
         for spec, loop in loops:
             bz = tnet.bffm(tm, loop, b, x_type=False)
             bx = tnet.bffm(tm, loop, b, x_type=True)
             rows.append((z1, z2, loop.perimeter, spec["shape"], bz, bx))
+        for k, dt in zip(TN_PHASES, (t1 - t0, t2 - t1,
+                                     time.perf_counter() - t2)):
+            seconds[k] += dt
     write_csv(run.path("bffm_scaling.csv"),
               ["z1", "z2", "perimeter", "shape", "bffm_z", "bffm_x"], rows)
-    _record_boundaries(run, boundaries)
+    _record_boundaries(run, boundaries, seconds)
     return ["bffm_scaling.csv"]
 
 

@@ -157,7 +157,7 @@ class ConstraintGraph:
         return sum(1 for e in self.edges if i in e)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LoopPath:
     """A closed alternating loop of kagome links, plus its open half-string.
 
@@ -172,14 +172,17 @@ class LoopPath:
     with exactly one end on an ``enclosed`` vertex.  The diagonal (Z) loop
     lives on these; by the Gauss law its value on every dimer cover is
     (-1)^len(enclosed).
+
+    A loop is immutable and hashable, so that the tensor-network module
+    builds the row insertions of each of its strings once.
     """
 
     kind: str                     # "diagonal" | "off-diagonal"
-    triangles: list               # closed sequence of triangle addresses
-    atoms: list                   # one atom address per triangle, same order
+    triangles: tuple              # closed sequence of triangle addresses
+    atoms: tuple                  # one atom address per triangle, same order
     perimeter: int
     enclosed: frozenset = frozenset()  # vertices of the enclosed hexagons
-    crossing: list = field(default_factory=list)  # per triangle, same order
+    crossing: tuple = ()          # per triangle, same order
 
     @property
     def open_atoms(self):
@@ -385,9 +388,9 @@ def _loop_from_triangles(kind, plaquettes):
             triangle_atom(t_cur, tv[a], tv[b])
             for a, b in ((0, 1), (0, 2), (1, 2))
             if (tv[a] in enclosed) != (tv[b] in enclosed)))
-    return LoopPath(kind=kind, triangles=list(cycle),
-                    atoms=atoms, perimeter=ell, enclosed=enclosed,
-                    crossing=crossing)
+    return LoopPath(kind=kind, triangles=tuple(cycle),
+                    atoms=tuple(atoms), perimeter=ell, enclosed=enclosed,
+                    crossing=tuple(crossing))
 
 
 def hexagon_loop(kind, radius):

@@ -11,7 +11,10 @@ An up triangle and the down triangle below-left of it fuse into a block
 with one virtual bond in each square-lattice direction, so a cylinder of
 circumference L contracts through a transfer matrix on an 8^L-dimensional
 bond space (4^L unprojected): the double layer needs a single occupation
-layer because the occupation legs of bra and ket coincide.
+layer because the occupation legs of bra and ket coincide.  A block is
+kept as its two halves, the down and the up triangle with their edges
+absorbed, joined by the block's internal bond: the site tensor factors
+exactly through that bond, of rank D, with no decomposition.
 
 A double-layer leg s = (2a + b) * n_occ + alpha carries the charge
 c(s) = s // n_occ = 2a + b of its ket and bra dimer bits, and every row
@@ -28,6 +31,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,35 +200,35 @@ class RowMods:
     e_v2: dict = field(default_factory=dict)    # lower vertical bond of block n
 
 
-def _block_tensor(up_t, down_t, e_v0, e_v2):
-    """B[l, r, d, u] for one block.
+def _site_halves(triangle, edge, mods, n, plain=None):
+    """The two halves of site n of a row with mods, joined by the block's
+    internal bond y (the edge between its down and its up triangle).
 
-    up legs: (v0 internal, v1 right, v2 up); down legs: (v1 left,
-    v0 internal, v2 down).  The lower vertical bond matrix e_v2 (oriented
-    [lower up-triangle, this down-triangle]) is absorbed into the d leg.
+    left[l, d, y] is the down triangle (legs: v1 left, v0 internal, v2
+    down) with the internal edge e_v0 ([down side, up side]) absorbed on
+    its internal leg and the lower vertical bond e_v2 ([lower up-triangle,
+    this down-triangle]) on its down leg.  right[y, k, u] is the up
+    triangle (legs: v0 internal, v1 right, v2 up) with the horizontal bond
+    to block n + 1 absorbed on its right leg.  The site tensor is
+    C[l, k, u, d] = sum_y left[l, d, y] right[y, k, u].  triangle(mod) is
+    the double-layer tensor of a triangle insertion (None: plain) and edge
+    the matrix of a plain edge; a half that mods leaves alone is taken from
+    the plain site's halves when given.
     """
-    # down_t[l, x, draw], e_v0[x, y] ([down side, up side]), up_t[y, r, u]
-    core = np.tensordot(np.tensordot(down_t, e_v0, axes=(1, 0)), up_t,
-                        axes=(2, 0))                  # l, draw, r, u
-    return np.tensordot(core, e_v2, axes=(1, 1)).transpose(0, 1, 3, 2)
-
-
-def _site_chains(triangle, edge, mods, sites):
-    """C_n[l, k, u, d] of each given site n of a row with mods: block n
-    with its horizontal bond to block n + 1 absorbed on the k leg.
-    triangle(mod) is the double-layer tensor of a triangle insertion (None:
-    plain) and edge the matrix of a plain edge."""
-    chains = []
-    for n in sites:
-        block = _block_tensor(triangle(mods.up.get(n)),
-                              triangle(mods.down.get(n)),
-                              mods.e_v0.get(n, edge), mods.e_v2.get(n, edge))
-        C = np.tensordot(block, mods.e_h.get(n, edge),
-                         axes=(1, 0)).transpose(0, 3, 2, 1)   # l, k, u, d
-        if np.iscomplexobj(C) and np.max(np.abs(C.imag)) < 1e-300:
-            C = C.real
-        chains.append(np.ascontiguousarray(C))
-    return chains
+    if plain is None or n in mods.down or n in mods.e_v0 or n in mods.e_v2:
+        # down_t[l, x, w] e_v0[x, y] -> [l, w, y]; e_v2[d, w] -> [l, y, d]
+        left = np.tensordot(
+            np.tensordot(triangle(mods.down.get(n)), mods.e_v0.get(n, edge),
+                         axes=(1, 0)),
+            mods.e_v2.get(n, edge), axes=(1, 1)).transpose(0, 2, 1)
+    else:
+        left = plain[0]
+    if plain is None or n in mods.up or n in mods.e_h:
+        right = np.tensordot(triangle(mods.up.get(n)), mods.e_h.get(n, edge),
+                             axes=(1, 0)).transpose(0, 2, 1)     # y, k, u
+    else:
+        right = plain[1]
+    return left, right
 
 
 def _triangles(z1, z2, projected):
@@ -234,10 +238,12 @@ def _triangles(z1, z2, projected):
         functools.partial(double_triangle_tensor, z1, z2, projected))
 
 
-def _row_chains(z1, z2, L, projected=True, mods=None):
-    """Per-site tensors C_n[l, k, u, d] of the row, horizontal bond absorbed."""
-    return _site_chains(_triangles(z1, z2, projected),
-                        NETWORKS[projected].edge, mods or RowMods(), range(L))
+def _row_sites(z1, z2, L, projected=True, mods=None):
+    """The halves (left, right) of every site of the row, each built from
+    scratch."""
+    triangle = _triangles(z1, z2, projected)
+    return [_site_halves(triangle, NETWORKS[projected].edge,
+                         mods or RowMods(), n) for n in range(L)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -260,71 +266,77 @@ def _part(buf, shape):
 class RowOperator:
     """Matrix-free application of one cylinder row to a bond-space vector.
 
-    The row is a ring of L four-leg tensors C[l, k, u, d].  Every nonzero
-    entry conserves the dimer charge: c(l) ^ c(k) ^ c(u) ^ c(d) = 3 with
-    c(s) = s // n_occ (see parity_signs).  A vector of one charge sector Q
-    (the XOR of its legs' charges) therefore maps into sector
-    Q ^ 3 * (L mod 2), and while the row is applied the charge of the open
-    ring-closing index l0 is fixed by the other legs.  Each pass stores l0
-    as its n_occ occupation values only, a quarter of the bond dimension D:
-    site 0 is one GEMM against the compressed W0[(t0, u0, l1), d0], every
-    later site one (D*D x D*D) product through its SVD factors, and the
-    ring closes where l0 = k, i.e. at t0 = k mod n_occ.  apply splits its
-    input by sector and makes one pass per sector it touches.
+    The row is a ring of L sites, each given as the two halves of its block
+    (see _site_halves): left[l, d, y] and right[y, k, u], joined by the
+    block's internal bond y, with site tensor C[l, k, u, d] = sum_y
+    left[l, d, y] right[y, k, u].  Every nonzero entry of C conserves the
+    dimer charge: c(l) ^ c(k) ^ c(u) ^ c(d) = 3 with c(s) = s // n_occ (see
+    parity_signs).  A vector of one charge sector Q (the XOR of its legs'
+    charges) therefore maps into sector Q ^ 3 * (L mod 2), and while the
+    row is applied the charge of the open ring-closing index l0 is fixed by
+    the other legs.  Each pass stores l0 as its n_occ occupation values
+    only, a quarter of the bond dimension D: site 0 is one GEMM against the
+    compressed W0[(t0, u0, l1), d0], every later site one (D*D x D*D)
+    product through its two halves, whose rank is the internal bond's
+    dimension (D for the library's rows), and the ring closes where
+    l0 = k, i.e. at t0 = k mod n_occ.  apply splits its input by sector and
+    makes one pass per sector it touches.
     """
 
-    def __init__(self, chains):
-        if len(chains) < 2:
+    def __init__(self, sites):
+        if len(sites) < 2:
             raise TnetError("a row needs at least two sites")
-        self.L = len(chains)
-        self.D = chains[0].shape[0]
+        self.L = len(sites)
+        self.D = sites[0][0].shape[0]
         self.n_occ = self.D // 4
         self.dim = self.D ** self.L
-        self._chains = [np.asarray(c) for c in chains]
-        self._factors = [self._site_factors(n, c)
-                         for n, c in enumerate(self._chains)]
-        self.dtype = np.result_type(*[c.dtype for c in self._chains])
+        self._sites = list(sites)
+        self._factors = [self._site_factors(n, site)
+                         for n, site in enumerate(self._sites)]
+        self.dtype = np.result_type(*[h for site in self._sites for h in site])
         self._work = {}
 
-    def _site_factors(self, n, c):
-        """What apply uses of site n.
+    def _site_factors(self, n, site):
+        """What apply uses of site n, from its halves (left, right).
 
-        Site 0 gives the compressed W0[(t0, u0, l1), d0]: of the four
-        charges of l0 at most one has a nonzero entry, so their sum keeps
-        it.  Every later site splits across the (l, d) | (k, u) cut, whose
-        rank stays at the bond dimension.  The last site's right factor
-        also closes the ring: at l0 = k it sums k over its charges at
-        occupation t0 = k mod n_occ, one (rank x u) matrix per t0.
+        The charge check runs on C = left . right.  Site 0 gives the
+        compressed W0[(t0, u0, l1), d0]: of the four charges of l0 at most
+        one has a nonzero entry, so their sum keeps it.  Every later site
+        applies as its halves, the (l, d) | (k, u) cut through the internal
+        bond.  The last site's right half also closes the ring: at l0 = k
+        it sums k over its charges at occupation t0 = k mod n_occ, one
+        (rank x u) matrix per t0.
         """
         D, nocc = self.D, self.n_occ
+        left, right = site
+        r = left.shape[2]
+        a = np.ascontiguousarray(left.reshape(D * D, r))
+        c = a @ right.reshape(r, D * D)                     # (l, d) x (k, u)
         if np.any(c[_ring_charges(nocc, 4).reshape(c.shape) != 3]):
             raise TnetError("site %d of the row breaks the dimer charge" % n)
         if n == 0:
-            w0 = c.reshape(4, nocc, D, D, D).sum(axis=0)     # t0, l1, u0, d0
+            w0 = c.reshape(4, nocc, D, D, D).sum(axis=0)     # t0, d0, l1, u0
             return np.ascontiguousarray(
-                w0.transpose(0, 2, 1, 3).reshape(-1, D))
-        m = c.transpose(0, 3, 1, 2).reshape(D * D, D * D)   # (l,d) x (k,u)
-        u, s, vt = np.linalg.svd(m, full_matrices=False)
-        r = max(1, int(np.sum(s > s[0] * 1e-13)))
-        a = np.ascontiguousarray(u[:, :r] * s[:r])
-        # right factor columns in (u, k) order, so the finished physical
-        # leg folds into the batch axes by a plain reshape
-        b = vt[:r].reshape(r, D, D).transpose(0, 2, 1)
+                w0.transpose(0, 3, 2, 1).reshape(-1, D))
         if n < self.L - 1:
-            return a, np.ascontiguousarray(b.reshape(r, D * D))
-        b = b.reshape(r, D, 4, nocc).sum(axis=2)            # r, u, t0
-        return a, np.ascontiguousarray(b.transpose(2, 0, 1))
+            # right factor columns in (u, k) order, so the finished physical
+            # leg folds into the batch axes by a plain reshape
+            return a, np.ascontiguousarray(
+                right.transpose(0, 2, 1).reshape(r, D * D))
+        b = right.reshape(r, 4, nocc, D).sum(axis=1)        # r, t0, u
+        return a, np.ascontiguousarray(b.transpose(1, 0, 2))
 
-    def _with_sites(self, chains):
-        """Copy of this row with the tensors of the sites in chains
-        (n -> C_n) replaced; the other sites keep their factors."""
+    def _with_sites(self, sites):
+        """Copy of this row with the halves of the sites in sites
+        (n -> (left, right)) replaced; the other sites keep their
+        factors."""
         new = copy.copy(self)
-        new._chains = list(self._chains)
+        new._sites = list(self._sites)
         new._factors = list(self._factors)
-        for n, c in chains.items():
-            new._chains[n] = c
-            new._factors[n] = new._site_factors(n, c)
-        new.dtype = np.result_type(*[c.dtype for c in new._chains])
+        for n, site in sites.items():
+            new._sites[n] = site
+            new._factors[n] = new._site_factors(n, site)
+        new.dtype = np.result_type(*[h for site in new._sites for h in site])
         return new
 
     _reversed = False
@@ -390,10 +402,13 @@ class RowOperator:
         Swapping the u and d legs alone would cut each site across
         (l, u) | (k, d), whose rank is near D*D.  The transposed row runs
         round the ring the other way instead: the site order reversed and
-        l, k swapped as well, so its cuts keep this row's rank.  Its bond
-        index lists the legs in reverse order, which apply undoes.
+        l, k swapped as well.  Its sites are this row's halves swapped,
+        left'[k, u, y] = right[y, k, u] and right'[y, l, d] = left[l, d, y],
+        joined by the same internal bonds.  Its bond index lists the legs
+        in reverse order, which apply undoes.
         """
-        op = RowOperator([c.transpose(1, 0, 3, 2) for c in self._chains[::-1]])
+        op = RowOperator([(right.transpose(1, 2, 0), left.transpose(2, 0, 1))
+                          for left, right in self._sites[::-1]])
         op._reversed = not self._reversed
         op._work = self._work
         return op
@@ -421,12 +436,10 @@ class CylinderTransferMatrix:
 
     def __post_init__(self):
         self._triangle = _triangles(self.z1, self.z2, self.projected)
-        self.op = RowOperator(self._chains(RowMods(),
-                                           range(self.circumference)))
-
-    def _chains(self, mods, sites):
-        return _site_chains(self._triangle, NETWORKS[self.projected].edge,
-                            mods, sites)
+        self._edge = NETWORKS[self.projected].edge
+        # every site of the plain row is the same pair of halves
+        self._plain = _site_halves(self._triangle, self._edge, RowMods(), 0)
+        self.op = RowOperator([self._plain] * self.circumference)
 
     @property
     def dim(self):
@@ -439,11 +452,14 @@ class CylinderTransferMatrix:
 
     def modified(self, mods):
         """The row with mods.  Only the sites that mods touches are
-        rebuilt; the others keep the plain row's tensors and factors, and
-        each triangle insertion is built once per transfer matrix."""
+        rebuilt, and of those only the halves it touches; the others keep
+        the plain row's halves and factors, and each triangle insertion is
+        built once per transfer matrix."""
         sites = sorted(set(mods.up) | set(mods.down) | set(mods.e_v0)
                        | set(mods.e_h) | set(mods.e_v2))
-        return self.op._with_sites(dict(zip(sites, self._chains(mods, sites))))
+        return self.op._with_sites({
+            n: _site_halves(self._triangle, self._edge, mods, n, self._plain)
+            for n in sites})
 
 
 def cylinder_transfer(z1, z2, L, projected=True):
@@ -615,8 +631,10 @@ def mean_density(tm, boundaries=None, tol=DEFAULT_TOL):
     return float(tot / 6.0)
 
 
+@functools.lru_cache(maxsize=None)
 def _loop_mods(loop, L, open_string, x_type):
-    """Per-row RowMods realizing a string insertion on the cylinder.
+    """Per-row RowMods realizing a string insertion on the cylinder, built
+    once per (loop, L, open_string, x_type); callers must not change them.
 
     Triangle addresses (n, m, 0/1) map to blocks: up(n, m) is the up part
     of block (n mod L, row m); down(n, m) the down part of block
@@ -817,39 +835,53 @@ def phase_diagram_point(z1, z2, L, projected=True, loop_z=None, loop_x=None,
     for a caller that differences along its grid instead.  The record also
     holds the solver counters of the point: the power iterations of all
     its boundary solves and their largest residual relative to lam0
-    (residual_ratio).  Returns (record, warm)
-    where warm holds the boundary vectors for warm-starting the next grid
-    point.
+    (residual_ratio), and the wall seconds it spent building transfer
+    matrices (transfer_s), solving their boundaries (boundaries_s, which
+    builds each transposed row) and evaluating observables (observables_s,
+    which builds the insertion rows).  Returns (record, warm) where warm
+    holds the boundary vectors for warm-starting the next grid point.
     """
     r0 = warm.get("right") if warm else None
     l0 = warm.get("left") if warm else None
     solves = []
+    seconds = dict.fromkeys(("transfer_s", "boundaries_s", "observables_s"),
+                            0.0)
+
+    def timed(key, fn, *args, **kwargs):
+        t0 = time.perf_counter()
+        out = fn(*args, **kwargs)
+        seconds[key] += time.perf_counter() - t0
+        return out
 
     def solve(zz1, compute_lam1=False, right0=None, left0=None):
-        tm = cylinder_transfer(zz1, z2, L, projected)
-        b = dominant_eigenpair(tm, tol, right0=right0, left0=left0,
-                               compute_lam1=compute_lam1)
+        tm = timed("transfer_s", cylinder_transfer, zz1, z2, L, projected)
+        b = timed("boundaries_s", dominant_eigenpair, tm, tol, right0=right0,
+                  left0=left0, compute_lam1=compute_lam1)
         solves.append(b)
         return tm, b
+
+    def observable(fn, *args, **kwargs):
+        return timed("observables_s", fn, *args, **kwargs)
 
     tm, b = solve(z1, compute_xi, r0, l0)
     dn_dz1 = np.nan
     if fd_step is not None:
         tm_lo, b_lo = solve(z1 - fd_step, right0=b.right, left0=b.left)
         tm_hi, b_hi = solve(z1 + fd_step, right0=b.right, left0=b.left)
-        n_lo = mean_density(tm_lo, b_lo, tol)
-        n_hi = mean_density(tm_hi, b_hi, tol)
+        n_lo = observable(mean_density, tm_lo, b_lo, tol)
+        n_hi = observable(mean_density, tm_hi, b_hi, tol)
         dn_dz1 = (n_hi - n_lo) / (2 * fd_step)
     rec = {
         "z1": z1, "z2": z2,
-        "density": mean_density(tm, b, tol),
+        "density": observable(mean_density, tm, b, tol),
         "dn_dz1": dn_dz1,
-        "xi": correlation_length(tm, b) if compute_xi else np.nan,
+        "xi": observable(correlation_length, tm, b) if compute_xi else np.nan,
         "iterations": sum(x.iterations for x in solves),
         "residual_ratio": max(x.residual / x.lam0 for x in solves),
     }
-    rec["bffm_z_l18"] = (bffm(tm, loop_z, b, x_type=False, tol=tol)
+    rec["bffm_z_l18"] = (observable(bffm, tm, loop_z, b, x_type=False, tol=tol)
                         if loop_z is not None else np.nan)
-    rec["bffm_x_l18"] = (bffm(tm, loop_x, b, x_type=True, tol=tol)
+    rec["bffm_x_l18"] = (observable(bffm, tm, loop_x, b, x_type=True, tol=tol)
                         if loop_x is not None and projected else np.nan)
+    rec.update(seconds)
     return rec, {"right": b.right, "left": b.left}

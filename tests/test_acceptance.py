@@ -22,7 +22,7 @@ from rvbprep.model import (HamiltonianOperator, HamiltonianSpec,
                            SweepSchedule, full_rydberg_spec, tail_pairs)
 from rvbprep.spectrum import groundstate, interior_peaks
 from rvbprep.tnet import (cylinder_transfer, dominant_eigenpair, parity_signs,
-                          torus_amplitudes, _row_chains)
+                          torus_amplitudes, _row_sites)
 
 pytestmark = pytest.mark.acceptance
 
@@ -188,7 +188,8 @@ def test_tn_matches_exact_contractions(cluster12, basis12, covers12):
         assert abs(abs(np.vdot(tu.amplitudes, au.amplitudes)) - 1) < 1e-8
 
     # dense transfer-matrix oracle at L = 4 via independent einsum matvec
-    chains = _row_chains(0.4, 0.3, 4, True)
+    chains = [np.einsum("ldy,yku->lkud", left, right)
+              for left, right in _row_sites(0.4, 0.3, 4, True)]
     D = chains[0].shape[0]
 
     half_a = np.einsum("abuw,bcvx->acuvwx", chains[0], chains[1])

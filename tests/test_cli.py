@@ -301,9 +301,17 @@ def test_tn_grid_modes_agree(tmp_path):
                     "--out", str(tmp_path / "one")]) == 2
 
 
+def assert_records_tn_seconds(manifest):
+    seconds = manifest["seconds"]
+    assert set(seconds) == {"transfer_s", "boundaries_s", "observables_s"}
+    assert all(0.0 <= s <= manifest["wall_clock_s"] for s in seconds.values())
+    assert sum(seconds.values()) <= manifest["wall_clock_s"] + 0.003
+
+
 def test_tn_manifests_record_the_boundary_solves(tmp_path):
     # the total power iterations and the largest residual of the run's
-    # boundary solves, in the manifest and never in the CSV
+    # boundary solves, and the seconds of its phases, in the manifest and
+    # never in the CSV
     z1s, z2s = [0.2, 0.3, 0.4], [0.3, 0.5]
     cfg = write_config(tmp_path, "grid.json", {
         "circumference": 2, "projected": True, "z1": z1s, "z2": z2s})
@@ -319,6 +327,7 @@ def test_tn_manifests_record_the_boundary_solves(tmp_path):
     assert manifest["boundaries"] == {
         "iterations": sum(r["iterations"] for r in recs),
         "max_residual_ratio": max(r["residual_ratio"] for r in recs)}
+    assert_records_tn_seconds(manifest)
     assert list(read_csv(str(out / "grid.csv"))) == [
         "z1", "z2", "density", "dn_dz1", "xi", "bffm_z_l18", "bffm_x_l18"]
 
@@ -334,6 +343,7 @@ def test_tn_manifests_record_the_boundary_solves(tmp_path):
     assert manifest["boundaries"] == {
         "iterations": sum(b.iterations for b in solves),
         "max_residual_ratio": max(b.residual / b.lam0 for b in solves)}
+    assert_records_tn_seconds(manifest)
     assert list(read_csv(str(out / "bffm_scaling.csv"))) == [
         "z1", "z2", "perimeter", "shape", "bffm_z", "bffm_x"]
 

@@ -5,13 +5,13 @@ from rvbprep.ansatz import AnsatzBuilder
 from rvbprep.geometry import (build_cluster, hexagon_loop, loop_block_span,
                               parallelogram_loop)
 from rvbprep.hilbert import cover_bitsets, full_basis
-from rvbprep.tnet import (ENDCAP, RowMods, RowOperator, TnetError, bffm,
-                          correlation_length, cylinder_transfer, density,
-                          dominant_eigenpair, double_edge_matrix,
-                          double_triangle_tensor, mean_density,
-                          parity_signs, phase_diagram_point,
+from rvbprep.tnet import (ATMOST, ENDCAP, XOR, RowMods, RowOperator,
+                          TnetError, bffm, correlation_length,
+                          cylinder_transfer, density, dominant_eigenpair,
+                          double_edge_matrix, double_triangle_tensor,
+                          mean_density, parity_signs, phase_diagram_point,
                           single_triangle_tensor, string_expectation,
-                          torus_amplitudes, _loop_mods, _row_chains)
+                          torus_amplitudes, _loop_mods, _row_sites)
 
 
 # excitation bit of each side for every triangle state: projected, the empty
@@ -70,6 +70,32 @@ def test_double_triangle_tensor_matches_ket_bra_oracle(projected, z1, z2,
     assert np.allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
 
 
+def site_tensor(left, right):
+    """C[l, k, u, d] of a site from its halves left[l, d, y] and
+    right[y, k, u]."""
+    return np.einsum("ldy,yku->lkud", left, right)
+
+
+def row_chains(sites):
+    return [site_tensor(*site) for site in sites]
+
+
+def oracle_chains(z1, z2, L, projected=True, mods=None):
+    """C_n[l, k, u, d] of each site in one contraction of its two triangle
+    tensors and four edge matrices, without the library's halves: the
+    internal edge e_v0 [down, up], the horizontal bond e_h [up, next down]
+    and the lower vertical bond e_v2 [lower up, down]."""
+    mods = mods or RowMods()
+    edge = double_edge_matrix(ATMOST if projected else np.ones((1, 1)))
+
+    def tri(mod):
+        return double_triangle_tensor(z1, z2, projected, mod)
+    return [np.einsum("lxw,xy,yru,rk,dw->lkud", tri(mods.down.get(n)),
+                      mods.e_v0.get(n, edge), tri(mods.up.get(n)),
+                      mods.e_h.get(n, edge), mods.e_v2.get(n, edge),
+                      optimize=True) for n in range(L)]
+
+
 def open_chain(chains):
     """T[l, k, U, V] of consecutive sites, the ring left open."""
     cur = chains[0]                                   # l, k, u, d
@@ -106,7 +132,7 @@ def ring_oracles():
 
     def get(projected, L):
         if (projected, L) not in cache:
-            chains = _row_chains(0.35, 0.6, L, projected)
+            chains = oracle_chains(0.35, 0.6, L, projected)
             cache[projected, L] = chains, ring_dense(chains)
         return cache[projected, L]
     return get
@@ -116,7 +142,10 @@ def ring_oracles():
     (True, 2), (False, 2), (False, 3), (True, 3), (True, 4), (False, 4)])
 def test_row_operator_matches_ring_contraction(ring_oracles, projected, L):
     chains, want = ring_oracles(projected, L)
-    op = RowOperator(chains)
+    sites = _row_sites(0.35, 0.6, L, projected)
+    for got, ref in zip(row_chains(sites), chains):
+        assert np.allclose(got, ref, rtol=0, atol=1e-15 * np.abs(ref).max())
+    op = RowOperator(sites)
     if op.dim <= 512:
         got = op.dense()
         assert np.allclose(got, want, atol=1e-12 * np.max(np.abs(want)))
@@ -161,38 +190,58 @@ def test_row_tensors_conserve_the_dimer_charge(projected, L, loops):
             for x_type in (False, True) if projected else (False,):
                 rows += _loop_mods(loop, L, open_string, x_type).values()
     for mods in rows:
-        for C in _row_chains(0.35, 0.6, L, projected, mods):
+        for C in row_chains(_row_sites(0.35, 0.6, L, projected, mods)):
             assert np.all(C[rule != 3] == 0.0)
             assert np.any(C[rule == 3] != 0.0)
 
 
+def random_halves(rng, D, rank):
+    """Random halves of a charge-conserving site with inner dimension rank:
+    the inner bond y carries the charge y // (rank // 4), left[l, d, y] is
+    nonzero where c(l) ^ c(d) ^ c(y) = 0 and right[y, k, u] where
+    c(y) ^ c(k) ^ c(u) = 3."""
+    c = np.arange(D) // (D // 4)
+    cy = np.arange(rank) // (rank // 4)
+    left = rng.standard_normal((D, D, rank)) * (
+        (c[:, None, None] ^ c[None, :, None] ^ cy) == 0)
+    right = rng.standard_normal((rank, D, D)) * (
+        (cy[:, None, None] ^ c[None, :, None] ^ c) == 3)
+    return left, right
+
+
 def test_replaced_site_of_higher_rank_matches_ring_contraction():
-    # a random charge-conserving site has a full-rank cut; a row copy that
-    # replaces a site still applies exactly, with work arrays it shares
-    # with the row it came from grown to the new rank
-    chains = _row_chains(0.35, 0.6, 3, True)
-    op = RowOperator(chains)
+    # a site built from random charge-conserving halves of inner dimension
+    # D * D has a full-rank cut; a row copy that replaces a site with it
+    # still applies exactly, with work arrays it shares with the row it
+    # came from grown to the new rank
+    sites = _row_sites(0.35, 0.6, 3, True)
+    chains = row_chains(sites)
+    op = RowOperator(sites)
     charge = bond_charges(True, 3)
     v = np.random.default_rng(4).standard_normal(op.dim)
     assert np.allclose(op.apply(v), ring_dense(chains) @ v, rtol=1e-12)
-    rule = bond_charges(True, 4).reshape(8, 8, 8, 8)
-    site = np.random.default_rng(5).standard_normal(rule.shape) * (rule == 3)
+    site = random_halves(np.random.default_rng(5), 8, 64)
+    C = site_tensor(*site)
+    assert np.all(C[bond_charges(True, 4).reshape(C.shape) != 3] == 0.0)
+    assert np.linalg.matrix_rank(C.transpose(0, 3, 1, 2).reshape(64, 64)) == 64
     new = op._with_sites({1: site})
     assert max(a.shape[1] for a, _ in new._factors[1:]) == 64
-    want = ring_dense([chains[0], site, chains[2]])
+    want = ring_dense([chains[0], C, chains[2]])
     _assert_matches_in_each_sector(new, want, charge, 3, 6)
     assert np.allclose(new.apply(v), want @ v, rtol=1e-12)
     assert np.allclose(op.apply(v), ring_dense(chains) @ v, rtol=1e-12)
 
 
 def test_row_breaking_the_charge_is_refused():
-    chains = _row_chains(0.35, 0.6, 2, True)
-    bad = chains[1].copy()
-    bad[0, 0, 0, 0] = 1.0                     # charge 0, not 3
+    sites = _row_sites(0.35, 0.6, 2, True)
+    left, right = sites[1]
+    bad = left.copy()
+    bad[0, 0, 2] = 1.0        # c(l) ^ c(d) ^ c(y) = 1, not 0: C gains charge 2
+    for row in ([sites[0], (bad, right)], [(bad, right), sites[1]]):
+        with pytest.raises(TnetError):
+            RowOperator(row)
     with pytest.raises(TnetError):
-        RowOperator([chains[0], bad])
-    with pytest.raises(TnetError):
-        RowOperator(chains[:1])
+        RowOperator(sites[:1])
 
 
 @pytest.mark.parametrize("x_type", [False, True])
@@ -203,24 +252,31 @@ def test_modified_rows_match_a_from_scratch_build(monkeypatch, open_string,
     tm = cylinder_transfer(0.35, 0.25, 4)
     v = np.random.default_rng(17).standard_normal(tm.dim)
     rows = _loop_mods(loop, 4, open_string, x_type)
-    want = {m: RowOperator(_row_chains(tm.z1, tm.z2, 4, True, mods)).apply(v)
+    want = {m: RowOperator(_row_sites(tm.z1, tm.z2, 4, True, mods)).apply(v)
             for m, mods in rows.items()}
     built = []
     site_factors = RowOperator._site_factors
 
-    def spy(self, n, c):
+    def spy(self, n, site):
         built.append(n)
-        return site_factors(self, n, c)
+        return site_factors(self, n, site)
     monkeypatch.setattr(RowOperator, "_site_factors", spy)
+    plain_left, plain_right = tm.op._sites[0]
     for m, mods in rows.items():
         touched = (set(mods.up) | set(mods.down) | set(mods.e_v0)
                    | set(mods.e_h) | set(mods.e_v2))
         del built[:]
-        got = tm.modified(mods).apply(v)
+        row = tm.modified(mods)
         assert sorted(built) == sorted(touched)      # only those rebuilt
-        assert np.array_equal(got, want[m])
+        assert np.array_equal(row.apply(v), want[m])
+        # and of those only the halves that mods touches
+        for n, (left, right) in enumerate(row._sites):
+            assert (left is plain_left) == (
+                n not in set(mods.down) | set(mods.e_v0) | set(mods.e_v2))
+            assert (right is plain_right) == (
+                n not in set(mods.up) | set(mods.e_h))
     assert np.array_equal(tm.op.apply(v),
-                          RowOperator(_row_chains(tm.z1, tm.z2, 4)).apply(v))
+                          RowOperator(_row_sites(tm.z1, tm.z2, 4)).apply(v))
 
 
 def test_transposed_row_is_built_once(monkeypatch):
@@ -247,9 +303,8 @@ def test_row_operator_with_insertions_matches_oracle():
     mods = RowMods()
     mods.up[0] = ("density", None)
     mods.down[1] = ("zstring", 1)
-    chains = _row_chains(0.4, 0.3, 2, True, mods)
-    op = RowOperator(chains)
-    want = ring_dense(chains)
+    op = RowOperator(_row_sites(0.4, 0.3, 2, True, mods))
+    want = ring_dense(oracle_chains(0.4, 0.3, 2, True, mods))
     assert np.allclose(op.dense(), want, atol=1e-12 * np.max(np.abs(want)))
     _assert_matches_in_each_sector(op, want, bond_charges(True, 2), 2, 52)
     # row 0 of the open x string carries X insertions and an ENDCAP edge
@@ -260,9 +315,80 @@ def test_row_operator_with_insertions_matches_oracle():
     assert any(np.array_equal(e, c) for e in edges for c in endcaps)
     assert any(mod[0] == "xstring"
                for mod in list(mods.up.values()) + list(mods.down.values()))
-    chains = _row_chains(0.35, 0.6, 4, True, mods)
-    _assert_matches_in_each_sector(RowOperator(chains), ring_dense(chains),
-                                   bond_charges(True, 4), 4, 53)
+    _assert_matches_in_each_sector(
+        RowOperator(_row_sites(0.35, 0.6, 4, True, mods)),
+        ring_dense(oracle_chains(0.35, 0.6, 4, True, mods)),
+        bond_charges(True, 4), 4, 53)
+
+
+def site_kinds(projected):
+    """Every kind of site change the library builds, as a (RowMods field,
+    value) pair (None: a plain site): triangle insertions, and on the
+    projected network the x strings and the edge overrides of their
+    occupation layer."""
+    kinds = [None, ("up", ("density", 1)), ("down", ("density", None)),
+             ("up", ("zstring", (0, 2))), ("down", ("zstring", 1))]
+    if projected:
+        kinds += [("up", ("xstring", 0)), ("down", ("xstring", 2))]
+        kinds += [(edge, double_edge_matrix(occ))
+                  for edge in ("e_v0", "e_h", "e_v2")
+                  for occ in (XOR, ENDCAP, ENDCAP.T)]
+    return kinds
+
+
+# each kind at every site of an L = 2 or 3 row; at L = 4 (projected) four
+# rows whose sites hold the 16 kinds, each kind once
+FACTORED_ROWS = [
+    pytest.param(p, L, placed, id="%s-L%d-kinds%s" % (
+        "projected" if p else "unprojected", L,
+        "-".join(map(str, placed))))
+    for p, L, placed in (
+        [(p, L, (i,) * L) for p, L in ((True, 2), (True, 3), (False, 2),
+                                       (False, 3))
+         for i in range(len(site_kinds(p)))]
+        + [(True, 4, tuple(range(j, j + 4))) for j in range(0, 16, 4)])]
+
+
+@pytest.mark.parametrize("projected,L,placed", FACTORED_ROWS)
+def test_factored_rows_match_ring_contraction(projected, L, placed):
+    # the row built from its halves, and its transpose, against the ring
+    # contraction of the oracle site tensors, in all four charge sectors
+    mods = RowMods()
+    for n, i in enumerate(placed):
+        kind = site_kinds(projected)[i]
+        if kind is not None:
+            getattr(mods, kind[0])[n] = kind[1]
+    tm = cylinder_transfer(0.35, 0.6, L, projected)
+    want = ring_dense(oracle_chains(0.35, 0.6, L, projected, mods))
+    assert np.any(want != 0.0)
+    _assert_matches_in_each_sector(tm.modified(mods), want,
+                                   bond_charges(projected, L), L, 61 + L)
+
+
+def test_rows_are_built_without_a_decomposition(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    loop = parallelogram_loop("diagonal", 4, 1)
+    tm = cylinder_transfer(0.35, 0.25, 4)
+    v = np.random.default_rng(3).standard_normal(tm.dim)
+    assert np.all(np.isfinite(tm.op_t.apply(v)))
+    for x_type in (False, True):
+        for mods in _loop_mods(loop, 4, True, x_type).values():
+            assert np.all(np.isfinite(tm.modified(mods).apply(v)))
+    b = dominant_eigenpair(tm)
+    assert b.lam1_abs > 0
+    assert np.isfinite(bffm(tm, loop, b)) and np.isfinite(
+        bffm(tm, loop, b, x_type=True))
+
+
+def test_string_rows_are_built_once_per_loop():
+    # equal loops share their RowMods, so a repeated string reuses them
+    a = _loop_mods(parallelogram_loop("diagonal", 4, 1), 4, True, True)
+    b = _loop_mods(parallelogram_loop("diagonal", 4, 1), 4, True, True)
+    assert a is b
+    assert _loop_mods(parallelogram_loop("diagonal", 4, 1), 4, False,
+                      True) is not a
 
 
 def test_modified_with_no_mods_is_identity_change():
@@ -376,7 +502,10 @@ def test_phase_diagram_point_record():
     rec, warm = phase_diagram_point(0.3, 0.3, 2, compute_xi=True)
     assert set(rec) == {"z1", "z2", "density", "dn_dz1", "xi",
                         "bffm_z_l18", "bffm_x_l18", "iterations",
-                        "residual_ratio"}
+                        "residual_ratio", "transfer_s", "boundaries_s",
+                        "observables_s"}
+    assert all(rec[k] > 0.0
+               for k in ("transfer_s", "boundaries_s", "observables_s"))
     # the counters sum the three boundary solves (central, z1 -/+ fd_step)
     tm = cylinder_transfer(0.3, 0.3, 2)
     b = dominant_eigenpair(tm)
