@@ -302,7 +302,7 @@ TN_PHASES = ("transfer_s", "boundaries_s", "observables_s")
 
 def _record_boundaries(run, counters, seconds):
     """Add the transfer-matrix solver counters of a run to the manifest:
-    the power iterations of all its boundary solves and their largest
+    the power iterations of its right-boundary solves and their largest
     residual relative to lam0, from (iterations, residual_ratio) pairs;
     and, under ``seconds``, the wall time the run spent in each of
     TN_PHASES: building transfer matrices, solving their boundaries and

@@ -23,7 +23,8 @@ edges flip both dimer bits.  This Z2 x Z2 symmetry (the gauge symmetry of
 the RVB PEPS) splits the bond space into four sectors, the XOR of the leg
 charges.  RowOperator applies a row one sector at a time and keeps the
 ring-closing bond at its n_occ occupation values, a quarter of its
-dimension, because the other legs fix its charge.
+dimension, because the other legs fix its charge.  Only the right
+boundary fixed point is iterated: the left is its mirror image.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .geometry import triangle_vertices
+from .geometry import loop_block_span, triangle_vertices
 
 XOR = np.array([[0.0, 1.0], [1.0, 0.0]])          # exactly one dimer
 ATMOST = np.array([[1.0, 1.0], [1.0, 0.0]])       # at most one excitation
@@ -258,6 +259,14 @@ def _ring_charges(n_occ, L):
     return charge
 
 
+@functools.lru_cache(maxsize=None)
+def _sector_mask(n_occ, L, q):
+    """The bond-space indices of charge sector q."""
+    mask = _ring_charges(n_occ, L) == q
+    mask.flags.writeable = False
+    return mask
+
+
 def _part(buf, shape):
     """The leading entries of a flat work array, in the given shape."""
     return buf[:math.prod(shape)].reshape(shape)
@@ -312,7 +321,7 @@ class RowOperator:
         r = left.shape[2]
         a = np.ascontiguousarray(left.reshape(D * D, r))
         c = a @ right.reshape(r, D * D)                     # (l, d) x (k, u)
-        if np.any(c[_ring_charges(nocc, 4).reshape(c.shape) != 3]):
+        if np.any(c[~_sector_mask(nocc, 4, 3).reshape(c.shape)]):
             raise TnetError("site %d of the row breaks the dimer charge" % n)
         if n == 0:
             w0 = c.reshape(4, nocc, D, D, D).sum(axis=0)     # t0, d0, l1, u0
@@ -339,29 +348,27 @@ class RowOperator:
         new.dtype = np.result_type(*[h for site in new._sites for h in site])
         return new
 
-    _reversed = False
-
-    def _reverse_legs(self, v):
-        return v.reshape((self.D,) * self.L).transpose().ravel()
-
-    def apply(self, v):
+    def apply(self, v, sector=None):
+        """The row applied to v.  sector, when given, is the charge sector
+        that v lies in (v must vanish outside it); it saves the scan for the
+        sectors that v touches."""
         v = np.asarray(v)
-        if self._reversed:
-            v = self._reverse_legs(v)
-        charge = _ring_charges(self.n_occ, self.L)
+        nocc, L = self.n_occ, self.L
+        sectors = [sector] if sector is not None else np.flatnonzero(
+            np.bincount(_ring_charges(nocc, L)[v != 0], minlength=4))
         out = np.zeros(self.dim, dtype=np.result_type(self.dtype, v.dtype))
-        sectors = np.flatnonzero(np.bincount(charge[v != 0], minlength=4))
         for q in sectors:
-            vq = v if len(sectors) == 1 else np.where(charge == q, v, 0)
+            vq = (v if len(sectors) == 1
+                  else np.where(_sector_mask(nocc, L, q), v, 0))
             # exact zeros outside the output sector
-            out += np.where(charge == q ^ 3 * (self.L % 2),
-                            self._ring_pass(vq).ravel(), 0)
-        return self._reverse_legs(out) if self._reversed else out
+            np.copyto(out, self._ring_pass(vq).ravel(),
+                      where=_sector_mask(nocc, L, q ^ 3 * (L % 2)))
+        return out
 
     def _buffers(self, dtype):
         """Two stage outputs and one rank-sized product: work arrays kept
-        per row, and shared with its transpose and its modified copies, so
-        that a pass does not fault fresh pages in."""
+        per row, and shared with its modified copies, so that a pass does
+        not fault fresh pages in."""
         size = self.n_occ * self.D ** (self.L + 1)
         n_mid = size // (self.D * self.D) * max(
             a.shape[1] for a, _ in self._factors[1:])
@@ -396,23 +403,6 @@ class RowOperator:
         return np.matmul(y, b, out=_part(nxt, (nocc, x.shape[1], D))).sum(
             axis=0)
 
-    def transpose_operator(self):
-        """RowOperator of the transposed matrix.
-
-        Swapping the u and d legs alone would cut each site across
-        (l, u) | (k, d), whose rank is near D*D.  The transposed row runs
-        round the ring the other way instead: the site order reversed and
-        l, k swapped as well.  Its sites are this row's halves swapped,
-        left'[k, u, y] = right[y, k, u] and right'[y, l, d] = left[l, d, y],
-        joined by the same internal bonds.  Its bond index lists the legs
-        in reverse order, which apply undoes.
-        """
-        op = RowOperator([(right.transpose(1, 2, 0), left.transpose(2, 0, 1))
-                          for left, right in self._sites[::-1]])
-        op._reversed = not self._reversed
-        op._work = self._work
-        return op
-
     def dense(self):
         """Explicit matrix (up index x down index); small L only."""
         if self.dim > 8192:
@@ -424,6 +414,16 @@ class RowOperator:
             mat[:, i] = self.apply(e)
             e[i] = 0.0
         return mat
+
+
+def _check_mirror(site, edge):
+    """Refuse a site that breaks its row's mirror symmetry (see
+    CylinderTransferMatrix.mirror): with the edge matrix on its l and u
+    legs, the site tensor F[l, d, k, u] must equal F[k, u, l, d]."""
+    c = np.tensordot(edge, np.tensordot(*site, axes=(2, 0)), axes=(1, 0))
+    f = np.tensordot(c, edge, axes=(3, 1))                  # l, d, k, u
+    if np.abs(f - f.transpose(2, 3, 0, 1)).max() > 1e-12 * np.abs(f).max():
+        raise TnetError("a site breaks the mirror symmetry of its row")
 
 
 @dataclass
@@ -439,16 +439,23 @@ class CylinderTransferMatrix:
         self._edge = NETWORKS[self.projected].edge
         # every site of the plain row is the same pair of halves
         self._plain = _site_halves(self._triangle, self._edge, RowMods(), 0)
+        _check_mirror(self._plain, self._edge)
         self.op = RowOperator([self._plain] * self.circumference)
 
     @property
     def dim(self):
         return self.op.dim
 
-    @functools.cached_property
-    def op_t(self):
-        """The transposed row, built once."""
-        return self.op.transpose_operator()
+    def mirror(self, v):
+        """G v, G = R E^(x L): the symmetric plain edge matrix E on every
+        leg, then the leg order reversed.  G T = T^t G for the plain row T
+        (a reflection-symmetric PEPS; Cirac, Poilblanc, Schuch & Verstraete,
+        PRB 83, 245134 (2011)), so G maps a right eigenvector to a left one.
+        """
+        D = self.op.D
+        for _ in range(self.circumference):     # E on the leading leg,
+            v = v.reshape(D, -1).T @ self._edge  # which moves to the back
+        return v.reshape((D,) * self.circumference).transpose().ravel()
 
     def modified(self, mods):
         """The row with mods.  Only the sites that mods touches are
@@ -495,7 +502,7 @@ class Boundaries:
     lam1_abs: float
     left: np.ndarray
     right: np.ndarray
-    iterations: int
+    iterations: int         # row applies of the right boundary's iteration
     residual: float         # ||T r - lam0 r|| of the unit r, not over lam0
 
 
@@ -526,9 +533,10 @@ def dominant_eigenpair(tm, tol=DEFAULT_TOL, right0=None, left0=None,
     of that sector, which sets the decay of local correlations.  The other
     sectors carry the topological (near-)copies of lambda0 and their
     finite-L splittings, which say nothing about local correlations.
-    Both fixed points come from power iteration, started from right0/left0
+    The right fixed point comes from power iteration, started from right0
     when given; the sector's lambda1/lambda0 stays well below 1 (at most
-    0.4 on the figS5 grid), so it converges in tens of row applies.
+    0.4 on the figS5 grid), so it converges in tens of row applies.  The
+    left one is its image under tm.mirror (left0 is accepted and unused).
     |lambda1| is the second-largest magnitude of one Arnoldi (ARPACK) solve,
     reported as 0 below tol * lambda0.
     """
@@ -540,27 +548,21 @@ def dominant_eigenpair(tm, tol=DEFAULT_TOL, right0=None, left0=None,
     dim = op.dim
     # seeded start vectors keep reruns byte-identical
     rng = np.random.default_rng(START_SEED)
-    sk, sb = parity_signs(tm.projected, tm.circumference)
-    m_id = ((sk > 0) & (sb > 0)).astype(float)
-
-    def solve(base_apply, x0):
-        if x0 is None:
-            x0 = np.abs(rng.standard_normal(dim)) + 1e-3
-        # a row maps the identity sector into itself, with exact zeros
-        # outside it (even L; see RowOperator)
-        x0 = np.asarray(x0, dtype=float) * m_id
-        return _power_iterate(base_apply, x0, tol)
-
-    lam0, right, it_r, res_r = solve(op.apply, right0)
-    lam0l, left, it_l, res_l = solve(tm.op_t.apply, left0)
+    m_id = _sector_mask(op.n_occ, op.L, 0).astype(float)
+    x0 = np.abs(rng.standard_normal(dim)) + 1e-3 if right0 is None else right0
+    # a row maps the identity sector into itself, with exact zeros outside
+    # it (even L; see RowOperator)
+    lam0, right, iterations, residual = _power_iterate(
+        lambda x: op.apply(x, sector=0), np.asarray(x0, dtype=float) * m_id,
+        tol)
     if lam0 <= 0:
         raise TnetError("dominant eigenvalue is not positive")
-    if abs(lam0 - lam0l) > 1e-6 * max(lam0, 1.0):
-        raise TnetError("left/right dominant eigenvalues disagree")
     lam1 = np.nan
     if compute_lam1:
-        lin = spla.LinearOperator((dim, dim), dtype=np.float64,
-                                  matvec=lambda v: op.apply(v) * m_id)
+        # the mask keeps ARPACK's restart vectors in the sector
+        lin = spla.LinearOperator(
+            (dim, dim), dtype=np.float64,
+            matvec=lambda v: op.apply(v * m_id, sector=0))
         vals = spla.eigs(lin, k=2, which="LM", tol=tol,
                          v0=rng.standard_normal(dim) * m_id,
                          return_eigenvectors=False)
@@ -569,12 +571,12 @@ def dominant_eigenpair(tm, tol=DEFAULT_TOL, right0=None, left0=None,
         # roundoff that varies from call to call
         if lam1 < tol * lam0:
             lam1 = 0.0
+    left = tm.mirror(right)
     scale = left @ right
     if abs(scale) < 1e-14:
         raise TnetError("left/right boundary vectors are orthogonal")
-    left = left / scale
-    return Boundaries(lam0=lam0, lam1_abs=lam1, left=left, right=right,
-                      iterations=it_r + it_l, residual=max(res_r, res_l))
+    return Boundaries(lam0=lam0, lam1_abs=lam1, left=left / scale,
+                      right=right, iterations=iterations, residual=residual)
 
 
 def correlation_length(tm, boundaries=None, tol=DEFAULT_TOL):
@@ -598,9 +600,9 @@ def _expect_rows(tm, boundaries, mods_by_row):
     vec = boundaries.right
     for m in range(rows[0], rows[-1] + 1):
         if m in mods_by_row:
-            vec = tm.modified(mods_by_row[m]).apply(vec)
+            vec = tm.modified(mods_by_row[m]).apply(vec, sector=0)
         else:
-            vec = tm.op.apply(vec)
+            vec = tm.op.apply(vec, sector=0)
         vec = vec / boundaries.lam0
     return float(np.real(boundaries.left @ vec))
 
@@ -644,7 +646,6 @@ def _loop_mods(loop, L, open_string, x_type):
     """
     tris = loop.open_triangles if open_string else loop.triangles
     atoms = loop.open_atoms if open_string else loop.atoms
-    from .geometry import loop_block_span
     if loop_block_span(loop) > L:
         raise TnetError("loop does not fit the cylinder circumference")
     rows = {}
@@ -834,15 +835,13 @@ def phase_diagram_point(z1, z2, L, projected=True, loop_z=None, loop_x=None,
     matrices start from the central boundaries; fd_step=None leaves it NaN
     for a caller that differences along its grid instead.  The record also
     holds the solver counters of the point: the power iterations of all
-    its boundary solves and their largest residual relative to lam0
+    its (right) boundary solves and their largest residual relative to lam0
     (residual_ratio), and the wall seconds it spent building transfer
-    matrices (transfer_s), solving their boundaries (boundaries_s, which
-    builds each transposed row) and evaluating observables (observables_s,
-    which builds the insertion rows).  Returns (record, warm) where warm
-    holds the boundary vectors for warm-starting the next grid point.
+    matrices (transfer_s), solving their boundaries (boundaries_s) and
+    evaluating observables (observables_s, which builds the insertion
+    rows).  Returns (record, warm) where warm holds the right boundary for
+    warm-starting the next grid point; a "left" entry in warm is ignored.
     """
-    r0 = warm.get("right") if warm else None
-    l0 = warm.get("left") if warm else None
     solves = []
     seconds = dict.fromkeys(("transfer_s", "boundaries_s", "observables_s"),
                             0.0)
@@ -853,21 +852,21 @@ def phase_diagram_point(z1, z2, L, projected=True, loop_z=None, loop_x=None,
         seconds[key] += time.perf_counter() - t0
         return out
 
-    def solve(zz1, compute_lam1=False, right0=None, left0=None):
+    def solve(zz1, compute_lam1=False, right0=None):
         tm = timed("transfer_s", cylinder_transfer, zz1, z2, L, projected)
         b = timed("boundaries_s", dominant_eigenpair, tm, tol, right0=right0,
-                  left0=left0, compute_lam1=compute_lam1)
+                  compute_lam1=compute_lam1)
         solves.append(b)
         return tm, b
 
     def observable(fn, *args, **kwargs):
         return timed("observables_s", fn, *args, **kwargs)
 
-    tm, b = solve(z1, compute_xi, r0, l0)
+    tm, b = solve(z1, compute_xi, warm.get("right") if warm else None)
     dn_dz1 = np.nan
     if fd_step is not None:
-        tm_lo, b_lo = solve(z1 - fd_step, right0=b.right, left0=b.left)
-        tm_hi, b_hi = solve(z1 + fd_step, right0=b.right, left0=b.left)
+        tm_lo, b_lo = solve(z1 - fd_step, right0=b.right)
+        tm_hi, b_hi = solve(z1 + fd_step, right0=b.right)
         n_lo = observable(mean_density, tm_lo, b_lo, tol)
         n_hi = observable(mean_density, tm_hi, b_hi, tol)
         dn_dz1 = (n_hi - n_lo) / (2 * fd_step)
@@ -884,4 +883,4 @@ def phase_diagram_point(z1, z2, L, projected=True, loop_z=None, loop_x=None,
     rec["bffm_x_l18"] = (observable(bffm, tm, loop_x, b, x_type=True, tol=tol)
                         if loop_x is not None and projected else np.nan)
     rec.update(seconds)
-    return rec, {"right": b.right, "left": b.left}
+    return rec, {"right": b.right}

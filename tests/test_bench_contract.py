@@ -52,6 +52,32 @@ def test_tnet_calls_of_the_cylinder_workload():
     assert {"fd_step", "warm", "compute_xi"} <= set(point)
 
 
+def test_left_starts_of_the_cylinder_workload_are_accepted_and_unused():
+    # the tn-cylinder workload passes left0, and warm dicts that carry a
+    # "left" vector; the left boundary is derived from the right one, so
+    # both are accepted and change nothing
+    tm = tnet.cylinder_transfer(0.31, 0.21, 4)
+    b = tnet.dominant_eigenpair(tnet.cylinder_transfer(0.3, 0.2, 4),
+                                compute_lam1=False)
+    junk = np.random.default_rng(1).standard_normal(tm.dim)
+    plain = tnet.dominant_eigenpair(tm, right0=b.right, compute_lam1=False)
+    for left0 in (b.left, junk):
+        got = tnet.dominant_eigenpair(tm, right0=b.right, left0=left0,
+                                      compute_lam1=False)
+        assert np.array_equal(got.left, plain.left)
+        assert np.array_equal(got.right, plain.right)
+        assert (got.lam0, got.iterations) == (plain.lam0, plain.iterations)
+    rec, warm = tnet.phase_diagram_point(0.3, 0.2, 2, False, fd_step=1e-3)
+    assert set(warm) == {"right"}
+    timers = {"transfer_s", "boundaries_s", "observables_s"}
+    want, _ = tnet.phase_diagram_point(0.31, 0.2, 2, False, warm=warm)
+    for extra in (junk[:16], b.left[:16]):
+        got, _ = tnet.phase_diagram_point(0.31, 0.2, 2, False,
+                                          warm={**warm, "left": extra})
+        assert {k: got[k] for k in set(got) - timers} == {
+            k: want[k] for k in set(want) - timers}
+
+
 def test_library_calls_of_the_workloads(cluster12, rvb12):
     # keyword arguments the sweep, scan and fit workloads pass, and the
     # calls they make with positional arguments only

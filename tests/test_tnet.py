@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from rvbprep import tnet
 from rvbprep.ansatz import AnsatzBuilder
 from rvbprep.geometry import (build_cluster, hexagon_loop, loop_block_span,
                               parallelogram_loop)
@@ -153,27 +155,24 @@ def test_row_operator_matches_ring_contraction(ring_oracles, projected, L):
     rng = np.random.default_rng(31)
     v = rng.standard_normal(op.dim)
     assert np.allclose(op.apply(v), want @ v, atol=1e-10)
-    assert np.allclose(op.transpose_operator().apply(v), want.T @ v,
-                       atol=1e-10)
     _assert_matches_in_each_sector(op, want, bond_charges(projected, L), L,
                                    41 + L)
 
 
 def _assert_matches_in_each_sector(op, want, charge, L, seed):
     # a vector of one sector Q lands in Q ^ 3 (L mod 2), with exact zeros
-    # in the other three; both the row and its transpose
+    # in the other three; told its sector, apply gives the same bits
     rng = np.random.default_rng(seed)
     scale = np.max(np.abs(want))
-    op_t = op.transpose_operator()
     for q in range(4):
         v = rng.standard_normal(op.dim) * (charge == q)
         outside = charge != (q ^ 3 * (L % 2))
-        for got, mat in ((op.apply(v), want), (op_t.apply(v), want.T)):
-            ref = mat @ v
-            assert np.max(np.abs(ref[outside])) < 1e-12 * scale
-            assert np.all(got[outside] == 0.0)
-            assert np.allclose(got, ref, rtol=0,
-                               atol=1e-12 * scale * np.abs(v).sum())
+        got, ref = op.apply(v), want @ v
+        assert np.max(np.abs(ref[outside])) < 1e-12 * scale
+        assert np.all(got[outside] == 0.0)
+        assert np.allclose(got, ref, rtol=0,
+                           atol=1e-12 * scale * np.abs(v).sum())
+        assert op.apply(v, sector=q).tobytes() == got.tobytes()
 
 
 @pytest.mark.parametrize("projected,L,loops", [
@@ -279,24 +278,25 @@ def test_modified_rows_match_a_from_scratch_build(monkeypatch, open_string,
                           RowOperator(_row_sites(tm.z1, tm.z2, 4)).apply(v))
 
 
-def test_transposed_row_is_built_once(monkeypatch):
-    tm = cylinder_transfer(0.3, 0.4, 2)
+def test_dominant_eigenpair_applies_the_row_once_per_iteration(
+        monkeypatch):
+    # only the right boundary is iterated: one row apply per power
+    # iteration, none for the left boundary, cold or warm started
+    tm = cylinder_transfer(0.3, 0.4, 4)
     calls = []
-    transpose = RowOperator.transpose_operator
+    apply = RowOperator.apply
 
-    def spy(self):
-        calls.append(1)
-        return transpose(self)
-    monkeypatch.setattr(RowOperator, "transpose_operator", spy)
-    b1 = dominant_eigenpair(tm)
-    b2 = dominant_eigenpair(tm, right0=b1.right, left0=b1.left)
-    assert len(calls) == 1
-    assert tm.op_t is tm.op_t
-    assert b2.lam0 == pytest.approx(b1.lam0, rel=1e-9)
-    # transposing twice gives the row back
-    v = np.random.default_rng(2).standard_normal(tm.dim)
-    assert np.allclose(tm.op_t.transpose_operator().apply(v), tm.op.apply(v),
-                       rtol=0, atol=1e-13 * np.abs(tm.op.apply(v)).max())
+    def spy(self, v, sector=None):
+        calls.append(sector)
+        return apply(self, v, sector)
+    monkeypatch.setattr(RowOperator, "apply", spy)
+    b1 = dominant_eigenpair(tm, compute_lam1=False)
+    assert calls == [0] * b1.iterations
+    del calls[:]
+    b2 = dominant_eigenpair(cylinder_transfer(0.31, 0.4, 4),
+                            right0=b1.right, compute_lam1=False)
+    assert calls == [0] * b2.iterations
+    assert 0 < b2.iterations < b1.iterations
 
 
 def test_row_operator_with_insertions_matches_oracle():
@@ -372,7 +372,7 @@ def test_rows_are_built_without_a_decomposition(monkeypatch):
     loop = parallelogram_loop("diagonal", 4, 1)
     tm = cylinder_transfer(0.35, 0.25, 4)
     v = np.random.default_rng(3).standard_normal(tm.dim)
-    assert np.all(np.isfinite(tm.op_t.apply(v)))
+    assert np.all(np.isfinite(tm.op.apply(v)))
     for x_type in (False, True):
         for mods in _loop_mods(loop, 4, True, x_type).values():
             assert np.all(np.isfinite(tm.modified(mods).apply(v)))
@@ -411,9 +411,9 @@ def test_transfer_conserves_ring_parity():
                    (sk > 0, sb < 0), (sk < 0, sb > 0)):
         mask = (mk & mb).astype(float)
         v = rng.standard_normal(tm.dim) * mask
-        for w in (tm.op.apply(v), tm.op_t.apply(v)):
-            assert np.all(w[mask == 0] == 0.0)
-            assert np.all(w[mask == 1] != 0.0)
+        w = tm.op.apply(v)
+        assert np.all(w[mask == 0] == 0.0)
+        assert np.all(w[mask == 1] != 0.0)
 
 
 def test_dominant_eigenpair_matches_dense_sector():
@@ -432,6 +432,88 @@ def test_dominant_eigenpair_matches_dense_sector():
     sub = np.sort(np.abs(evals))[-2]
     assert b.lam1_abs == pytest.approx(sub, rel=1e-8)
     assert b.lam1_abs < b.lam0
+
+
+def mirror_matrix(projected, L):
+    """G = R E^(x L) as a sparse matrix: the plain edge matrix E on every
+    leg, then the legs in reverse order."""
+    edge = sp.csr_matrix(double_edge_matrix(ATMOST if projected
+                                            else np.ones((1, 1))))
+    g = edge
+    for _ in range(L - 1):
+        g = sp.kron(g, edge, format="csr")
+    D = edge.shape[0]
+    return g[np.arange(D ** L).reshape((D,) * L).transpose().ravel()]
+
+
+MIRROR_POINTS = [(0.0, 0.3), (0.05, 0.02), (1.5, 0.8), (-0.4, -0.25)]
+
+
+@pytest.mark.parametrize("z1,z2", MIRROR_POINTS)
+@pytest.mark.parametrize("projected,L", [
+    (True, 2), (True, 3), (True, 4), (False, 2), (False, 3), (False, 4)])
+def test_plain_rows_are_mirror_symmetric(projected, L, z1, z2):
+    # G T = T^t G on the ring contraction of the oracle site tensors,
+    # compared a block of rows at a time; tm.mirror is G
+    want = ring_dense(oracle_chains(z1, z2, L, projected))
+    g = mirror_matrix(projected, L)
+    scale = np.abs(want).max()
+    for lo in range(0, len(want), 512):
+        rows = slice(lo, lo + 512)
+        gt = g[rows] @ want
+        tg = (g.T @ want[:, rows]).T
+        assert np.abs(gt - tg).max() <= 1e-13 * scale
+    tm = cylinder_transfer(z1, z2, L, projected)
+    v = np.random.default_rng(L).standard_normal(tm.dim)
+    assert np.allclose(tm.mirror(v), g @ v, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("projected,L", [
+    (True, 2), (True, 4), (False, 2), (False, 4)])
+def test_left_boundary_is_the_dense_left_eigenvector(ring_oracles,
+                                                     projected, L):
+    _, want = ring_oracles(projected, L)
+    tm = cylinder_transfer(0.35, 0.6, L, projected)
+    b = dominant_eigenpair(tm)
+    idx = np.flatnonzero(bond_charges(projected, L) == 0)
+    vals, vecs = np.linalg.eig(want[np.ix_(idx, idx)].T)
+    top = np.argmax(vals.real)
+    assert b.lam0 == pytest.approx(vals[top].real, rel=1e-9)
+    left = vecs[:, top].real
+    left /= left @ b.right[idx]
+    assert np.abs(b.left[idx] - left).max() <= 1e-8 * np.abs(left).max()
+    assert np.all(np.delete(b.left, idx) == 0.0)
+    assert b.left @ b.right == pytest.approx(1.0, abs=1e-14)
+
+
+def test_row_breaking_the_mirror_is_refused(monkeypatch):
+    # an ENDCAP edge keeps the dimer charge but breaks the mirror symmetry,
+    # so a transfer matrix whose plain site carried one is refused
+    triangle, edge = tnet._triangles(0.35, 0.6, True), tnet.NETWORKS[True].edge
+    tnet._check_mirror(tnet._site_halves(triangle, edge, RowMods(), 0), edge)
+    halves = tnet._site_halves
+
+    def endcapped(triangle, edge, mods, n, plain=None):
+        mods = RowMods(e_v0={n: double_edge_matrix(ENDCAP)})
+        return halves(triangle, edge, mods, n, plain)
+    monkeypatch.setattr(tnet, "_site_halves", endcapped)
+    RowOperator(_row_sites(0.35, 0.6, 2))           # conserves the charge
+    with pytest.raises(TnetError, match="mirror"):
+        cylinder_transfer(0.35, 0.6, 2)
+
+
+@pytest.mark.parametrize("projected,L", [(True, 4), (False, 6)])
+def test_apply_told_the_identity_sector_is_bit_equal(projected, L):
+    tm = cylinder_transfer(0.3, 0.2, L, projected)
+    in_id = bond_charges(projected, L) == 0
+    v = np.random.default_rng(8).standard_normal(tm.dim) * in_id
+    loop = parallelogram_loop("diagonal", 4, 1)
+    rows = [tm.op] + [tm.modified(mods) for mods in
+                      _loop_mods(loop, L, True, False).values()]
+    for row in rows:
+        got = row.apply(v, sector=0)
+        assert got.tobytes() == row.apply(v).tobytes()
+        assert np.all(got[~in_id] == 0.0) and np.any(got != 0.0)
 
 
 def test_odd_circumference_refused():
@@ -514,7 +596,7 @@ def test_phase_diagram_point_record():
     assert 0 < rec["density"] < 0.25
     assert rec["dn_dz1"] < 0
     assert rec["xi"] > 0
-    assert set(warm) == {"right", "left"}
+    assert set(warm) == {"right"}
     # warm-started repeat reproduces the same numbers
     rec2, _ = phase_diagram_point(0.3, 0.3, 2, warm=warm)
     assert rec2["density"] == pytest.approx(rec["density"], abs=1e-9)
