@@ -297,6 +297,22 @@ def _record_sector(run, n_atoms, op):
     run._write()
 
 
+def _record_sweeps(run, n_atoms, counters, seconds):
+    """Add the solver counters of one size's sweeps to the manifest: their
+    number, steps and H.psi products, the largest Krylov error estimate
+    any of them accepted, and the seconds spent propagating
+    (``propagation_s``).  ``counters`` holds each sweep's (n_steps,
+    matvecs, krylov_error).  The CSVs never hold them, so reruns stay
+    byte-identical."""
+    run.manifest.setdefault("sweep", []).append({
+        "n_atoms": int(n_atoms), "sweeps": len(counters),
+        "n_steps": sum(c[0] for c in counters),
+        "matvecs": sum(c[1] for c in counters),
+        "krylov_error": float(max((c[2] for c in counters), default=0.0)),
+        "propagation_s": round(seconds, 3)})
+    run._write()
+
+
 TN_PHASES = ("transfer_s", "boundaries_s", "observables_s")
 
 
@@ -382,12 +398,17 @@ def cmd_sweep(cfg, run):
         _, basis, covers, op = _operator(sub)
         rvb = rvb_state(covers, basis)
         _record_sector(run, n_atoms, op)
+        counters, seconds = [], 0.0
         for delta1 in delta1s:
             scfg = sub if delta1 is None else dict(sub, delta1=float(delta1))
             for total in times:
                 schedule = _make_schedule(scfg, float(total))
+                t0 = time.perf_counter()
                 traj = evolve_sweep(op, schedule, rvb=rvb,
                                     n_samples=cfg.get("n_samples", 200))
+                seconds += time.perf_counter() - t0
+                counters.append((traj.n_steps, traj.matvecs,
+                                 traj.krylov_error))
                 final_ov = abs(np.vdot(rvb.amplitudes,
                                        traj.final_state.amplitudes))
                 abs_ov = abs(np.vdot(rvb.amplitudes,
@@ -407,6 +428,7 @@ def cmd_sweep(cfg, run):
                                   traj.norms, traj.rvb_overlap, traj.density,
                                   traj.sector_weights]))
                     outputs.append(name)
+        _record_sweeps(run, n_atoms, counters, seconds)
     write_csv(run.path("sweep.csv"),
               ["n_atoms", "delta1", "total_time", "t_over_n",
                "final_overlap", "abs_overlap", "n_steps"], rows)

@@ -5,7 +5,10 @@ Lanczos-computed exponentials of Gauss-node combinations of the
 instantaneous Hamiltonian.  Because H is affine in (Omega, Delta), the
 combinations are again Hamiltonians of the same form and the scheme is
 exact in that structure.  dt adapts via periodic step-doubling checks
-against a local error tolerance.
+against a local error tolerance.  Only full steps are checked: a step
+shortened to land on a sample time or a checkpoint is taken unchecked,
+and so is every step between two checks.  A trajectory counts its H.psi
+products and keeps the largest Krylov error estimate it accepted.
 """
 
 from __future__ import annotations
@@ -29,6 +32,18 @@ class EvolveError(RuntimeError):
     pass
 
 
+class _CountingOperator:
+    """Forwards ``apply`` to an operator and counts the calls."""
+
+    def __init__(self, op):
+        self.op = op
+        self.calls = 0
+
+    def apply(self, psi, omega, delta):
+        self.calls += 1
+        return self.op.apply(psi, omega, delta)
+
+
 def overlap(psi, phi):
     """<psi|phi> with psi conjugated."""
     if psi.basis.dim != phi.basis.dim or psi.basis.n_atoms != phi.basis.n_atoms:
@@ -46,25 +61,27 @@ def lanczos_expm_step(apply_h, psi, dt, tol=1e-10, krylov_dim=KRYLOV_DIM,
     whole basis ("twice is enough"), keeps the tridiagonal projection
     accurate.  The Krylov vectors are the rows of one array, and every
     product with the basis is a BLAS zgemv on its Fortran-ordered transpose.
+    The tridiagonal projection grows in place in one preallocated array.
+
+    A new Krylov vector is scaled by the reciprocal of its norm on its real
+    view.  That is numpy's complex-by-real division up to the sign of an
+    exactly zero component, which no later product or sum can see, so the
+    returned state is the division's bit for bit.
     """
     nrm = np.linalg.norm(psi)
     vecs = np.empty((krylov_dim, len(psi)), dtype=np.complex128)
     np.divide(psi, nrm, out=vecs[0])
-    alphas, betas = [], []
+    tri = np.zeros((krylov_dim, krylov_dim))
     for j in range(krylov_dim):
         w = apply_h(vecs[j])
         basis = vecs[:j + 1].T
         for sweep in range(2):
             c = zgemv(1.0, basis, w, trans=2)           # V^H w
             if sweep == 0:
-                alphas.append(float(c[j].real))
+                tri[j, j] = c[j].real
             w = zgemv(-1.0, basis, c, beta=1.0, y=w, overwrite_y=1)
         b = math.sqrt(np.vdot(w, w).real)
-        k = len(alphas)
-        tri = np.diag(alphas)
-        for i in range(k - 1):
-            tri[i, i + 1] = tri[i + 1, i] = betas[i]
-        evals, evecs = np.linalg.eigh(tri)
+        evals, evecs = np.linalg.eigh(tri[:j + 1, :j + 1])
         u = evecs @ (np.exp(-1j * dt * evals) * evecs[0].conj())
         err = abs(b * dt * u[-1])
         if b < breakdown_tol:
@@ -72,9 +89,10 @@ def lanczos_expm_step(apply_h, psi, dt, tol=1e-10, krylov_dim=KRYLOV_DIM,
             break
         if err <= tol:
             break
-        betas.append(b)
         if j + 1 < krylov_dim:
-            np.divide(w, b, out=vecs[j + 1])
+            tri[j, j + 1] = tri[j + 1, j] = b
+            np.multiply(w.view(np.float64), 1.0 / b,
+                        out=vecs[j + 1].view(np.float64))
     return zgemv(nrm, vecs[:len(u)].T, u), err
 
 
@@ -109,6 +127,8 @@ class Trajectory:
     snapshots: dict = field(default_factory=dict)   # time -> StateVector
     final_state: StateVector = None
     n_steps: int = 0
+    matvecs: int = 0                  # H.psi products, checks included
+    krylov_error: float = 0.0         # largest of any accepted step
 
     @property
     def norm_drift(self):
@@ -121,8 +141,15 @@ def evolve_sweep(op, schedule, psi0=None, rvb=None, dt_max=0.5, local_tol=1e-9,
 
     psi0 defaults to the vacuum.  ``checkpoints`` are times at which full
     state snapshots are stored (in addition to the final state).  Every
-    ``CALIB_INTERVAL`` accepted steps the step size is recalibrated by
-    comparing one full step against two half steps.
+    ``CALIB_INTERVAL`` accepted full steps the step size is recalibrated
+    by comparing one full step against two half steps; a Krylov error
+    beyond ``local_tol`` in any of the three counts as a doubling error
+    and shrinks the step.  The steps in between, and every step shortened
+    to land on a sample time or a checkpoint, are never checked: only
+    their Krylov error is, and a miss there raises.  The trajectory counts
+    every H.psi product (``matvecs``) and keeps the largest Krylov error
+    estimate of an accepted step, summed over its two exponentials
+    (``krylov_error``).
 
     H and the vacuum are invariant under every symmetry of the cluster, so
     the sweep runs in the fully symmetric sector of ``op.sector``: psi0 must
@@ -133,6 +160,7 @@ def evolve_sweep(op, schedule, psi0=None, rvb=None, dt_max=0.5, local_tol=1e-9,
     """
     basis = op.basis
     iso, red = op.sector()
+    counted = _CountingOperator(red)
     if psi0 is None:
         amps = np.zeros(basis.dim, dtype=np.complex128)
         amps[basis.index_of(0)] = 1.0
@@ -175,6 +203,7 @@ def evolve_sweep(op, schedule, psi0=None, rvb=None, dt_max=0.5, local_tol=1e-9,
     t = 0.0
     dt = min(dt_max, 0.02 * T)
     n_steps = 0
+    krylov_error = 0.0
     since_calib = CALIB_INTERVAL      # calibrate on the very first step
     ktol = 0.1 * local_tol
     record(0.0)
@@ -185,11 +214,18 @@ def evolve_sweep(op, schedule, psi0=None, rvb=None, dt_max=0.5, local_tol=1e-9,
             if full_step and since_calib >= CALIB_INTERVAL:
                 # step-doubling: accept two half steps, measure against one
                 while True:
-                    coarse, _ = cf4_step(red, schedule, psi, t, step, ktol)
-                    half, _ = cf4_step(red, schedule, psi, t, 0.5 * step, ktol)
-                    fine, _ = cf4_step(red, schedule, half, t + 0.5 * step,
-                                       0.5 * step, ktol)
+                    coarse, e_coarse = cf4_step(counted, schedule, psi, t,
+                                                step, ktol)
+                    half, e_half = cf4_step(counted, schedule, psi, t,
+                                            0.5 * step, ktol)
+                    fine, e_fine = cf4_step(counted, schedule, half,
+                                            t + 0.5 * step, 0.5 * step, ktol)
                     err = float(np.linalg.norm(coarse - fine))
+                    # a Krylov miss, which would stop a plain step, shrinks
+                    # this one; an error within local_tol leaves err alone
+                    miss = max(e_coarse, e_half + e_fine)
+                    if miss > local_tol:
+                        err = max(err, miss)
                     if err <= local_tol or step < 1e-10 * max(T, 1.0):
                         break
                     step *= max(0.3, 0.8 * (local_tol / max(err, 1e-300)) ** 0.2)
@@ -197,15 +233,17 @@ def evolve_sweep(op, schedule, psi0=None, rvb=None, dt_max=0.5, local_tol=1e-9,
                     raise EvolveError(
                         "step size underflow at t=%.4g (err=%.2e)" % (t, err))
                 psi = fine
+                krylov_error = max(krylov_error, e_half + e_fine)
                 grow = 2.0 if err == 0.0 else min(
                     2.0, max(0.3, 0.8 * (local_tol / err) ** 0.2))
                 dt = min(step * grow, dt_max)
                 since_calib = 0
             else:
-                psi, kerr = cf4_step(red, schedule, psi, t, step, ktol)
+                psi, kerr = cf4_step(counted, schedule, psi, t, step, ktol)
                 if kerr > local_tol:
                     raise EvolveError(
                         "Krylov residual %.2e beyond tolerance at t=%.4g" % (kerr, t))
+                krylov_error = max(krylov_error, kerr)
                 if full_step:
                     since_calib += 1
             t += step
@@ -228,6 +266,8 @@ def evolve_sweep(op, schedule, psi0=None, rvb=None, dt_max=0.5, local_tol=1e-9,
         snapshots=snapshots,
         final_state=final,
         n_steps=n_steps,
+        matvecs=counted.calls,
+        krylov_error=krylov_error,
     )
     if traj.norm_drift > 1e-8:
         raise EvolveError("norm drift %.2e beyond tolerance" % traj.norm_drift)

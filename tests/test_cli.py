@@ -227,6 +227,29 @@ def test_sweep_verb(tmp_path):
     assert cols["abs_overlap"][0] >= cols["final_overlap"][0] - 1e-12
 
 
+def test_sweep_manifest_records_the_solver_counters(tmp_path, op12, rvb12):
+    # per size: the sweeps' steps, H.psi products, largest accepted Krylov
+    # error and propagation seconds, in the manifest and never in the CSV
+    cfg = write_config(tmp_path, "c.json", {
+        "n_atoms": 12, "sweep_times": [2.0, 3.0], "n_samples": 6})
+    out = tmp_path / "out"
+    assert run_cli(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    trajs = [evolve_sweep(op12, SweepSchedule.default_protocol(t),
+                          rvb=rvb12, n_samples=6) for t in (2.0, 3.0)]
+    manifest = json.loads((out / "manifest.json").read_text())
+    [record] = manifest["sweep"]
+    seconds = record.pop("propagation_s")
+    assert 0.0 <= seconds <= manifest["wall_clock_s"]
+    assert record == {
+        "n_atoms": 12, "sweeps": 2,
+        "n_steps": sum(t.n_steps for t in trajs),
+        "matvecs": sum(t.matvecs for t in trajs),
+        "krylov_error": max(t.krylov_error for t in trajs)}
+    assert list(read_csv(str(out / "sweep.csv"))) == [
+        "n_atoms", "delta1", "total_time", "t_over_n", "final_overlap",
+        "abs_overlap", "n_steps"]
+
+
 def test_fit_verb(tmp_path):
     cfg = write_config(tmp_path, "c.json", {
         "n_atoms": 12, "delta_over_omega": [0.8, 1.2]})

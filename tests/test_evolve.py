@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg.blas import zgemv
 
+from rvbprep import evolve
 from rvbprep.evolve import (EvolveError, cf4_step, evolve_sweep,
                             integrator_crosscheck, lanczos_expm_step, overlap,
                             rk4_evolve)
@@ -251,3 +255,140 @@ def test_sweep_rejects_state_outside_k0_sector(cluster12, basis12):
                         psi0=StateVector(basis12, sym / np.linalg.norm(sym)),
                         n_samples=3)
     assert traj.norm_drift < 1e-10
+
+
+# --- bit identity and solver counters --------------------------------------
+
+def _division_lanczos_step(apply_h, psi, dt, tol=1e-10,
+                           krylov_dim=evolve.KRYLOV_DIM, breakdown_tol=1e-13):
+    """The Lanczos step as it stood before the preallocated tridiagonal:
+    np.diag rebuilt every iteration and each new vector divided by its
+    norm."""
+    nrm = np.linalg.norm(psi)
+    vecs = np.empty((krylov_dim, len(psi)), dtype=np.complex128)
+    np.divide(psi, nrm, out=vecs[0])
+    alphas, betas = [], []
+    for j in range(krylov_dim):
+        w = apply_h(vecs[j])
+        basis = vecs[:j + 1].T
+        for sweep in range(2):
+            c = zgemv(1.0, basis, w, trans=2)
+            if sweep == 0:
+                alphas.append(float(c[j].real))
+            w = zgemv(-1.0, basis, c, beta=1.0, y=w, overwrite_y=1)
+        b = math.sqrt(np.vdot(w, w).real)
+        tri = np.diag(alphas)
+        for i in range(len(alphas) - 1):
+            tri[i, i + 1] = tri[i + 1, i] = betas[i]
+        evals, evecs = np.linalg.eigh(tri)
+        u = evecs @ (np.exp(-1j * dt * evals) * evecs[0].conj())
+        err = abs(b * dt * u[-1])
+        if b < breakdown_tol:
+            err = 0.0
+            break
+        if err <= tol:
+            break
+        betas.append(b)
+        if j + 1 < krylov_dim:
+            np.divide(w, b, out=vecs[j + 1])
+    return zgemv(nrm, vecs[:len(u)].T, u), err
+
+
+def _pairs_apply(self, psi, omega, delta):
+    """H.psi as it stood before the complex flip values: the diagonal
+    rebuilt on every call, a complex psi multiplied as its (dim, 2) real
+    view."""
+    diag = self.tail_diag - delta * self.n_diag
+    if omega == 0.0:
+        return diag * psi
+    if np.iscomplexobj(psi):
+        pairs = np.ascontiguousarray(psi).view(np.float64).reshape(-1, 2)
+        out = (self.flip @ pairs).view(np.complex128).ravel()
+    else:
+        out = self.flip @ psi
+    out *= 0.5 * omega
+    out += diag * psi
+    return out
+
+
+@pytest.mark.parametrize("n_atoms", [12, 24])
+def test_sweep_is_bit_identical_to_the_division_lanczos_and_pairs_apply(
+        n_atoms, request, monkeypatch):
+    cluster = request.getfixturevalue("cluster%d" % n_atoms)
+    basis = request.getfixturevalue("basis%d" % n_atoms)
+    rvb = rvb_state(request.getfixturevalue("covers%d" % n_atoms), basis)
+    s = SweepSchedule.default_protocol(3.0)
+
+    def sweep():
+        op = HamiltonianOperator(HamiltonianSpec(), basis, cluster)
+        return evolve_sweep(op, s, rvb=rvb, n_samples=40, checkpoints=(1.1,))
+
+    got = sweep()
+    monkeypatch.setattr(evolve, "lanczos_expm_step", _division_lanczos_step)
+    monkeypatch.setattr(HamiltonianOperator, "apply", _pairs_apply)
+    want = sweep()
+    assert (got.n_steps, got.matvecs) == (want.n_steps, want.matvecs)
+    assert got.krylov_error == want.krylov_error
+    for name in ("times", "omegas", "deltas", "norms", "rvb_overlap",
+                 "density", "sector_weights"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    for state in ("final_state", "snapshots"):
+        a, b = getattr(got, state), getattr(want, state)
+        if state == "snapshots":
+            assert set(a) == set(b) == {1.1}
+            a, b = a[1.1], b[1.1]
+        assert a.amplitudes.tobytes() == b.amplitudes.tobytes()
+
+
+def test_sweep_counts_every_apply(cluster12, basis12, monkeypatch):
+    calls = []
+    original = HamiltonianOperator.apply
+
+    def counting(self, psi, omega, delta):
+        calls.append(1)
+        return original(self, psi, omega, delta)
+
+    monkeypatch.setattr(HamiltonianOperator, "apply", counting)
+    op = HamiltonianOperator(HamiltonianSpec(), basis12, cluster12)
+    traj = evolve_sweep(op, SweepSchedule.default_protocol(3.0), n_samples=7)
+    # the step-doubling checks' three CF4 steps are counted too
+    assert traj.matvecs == len(calls) > 2 * 2 * traj.n_steps
+    assert 0.0 < traj.krylov_error <= 1e-9
+
+
+def test_calibration_step_shrinks_on_a_krylov_miss(cluster12, basis12,
+                                                   monkeypatch):
+    # with two Krylov vectors the first check's full step misses the
+    # Krylov tolerance while its step-doubling error does not; the check
+    # must shrink the step rather than accept the miss
+    local_tol = 1e-9
+    lanczos, cf4 = evolve.lanczos_expm_step, evolve.cf4_step
+
+    def capped(apply_h, psi, dt, tol=1e-10, krylov_dim=evolve.KRYLOV_DIM,
+               breakdown_tol=1e-13):
+        return lanczos(apply_h, psi, dt, tol, min(krylov_dim, 2),
+                       breakdown_tol)
+
+    steps = []
+
+    def spy(op, schedule, psi, t, dt, tol=1e-10):
+        out = cf4(op, schedule, psi, t, dt, tol)
+        steps.append((t, dt, out[1]))
+        return out
+
+    monkeypatch.setattr(evolve, "lanczos_expm_step", capped)
+    monkeypatch.setattr(evolve, "cf4_step", spy)
+    op = HamiltonianOperator(HamiltonianSpec(), basis12, cluster12)
+    with pytest.raises(EvolveError, match="Krylov residual"):
+        evolve_sweep(op, SweepSchedule.default_protocol(1.0), n_samples=2,
+                     local_tol=local_tol)
+    # a check is a full step and two half steps from one t; it was accepted
+    # when the next step starts where its full step ends
+    accepted = [
+        max(e0, e1 + e2)
+        for (t0, s0, e0), (t1, s1, e1), (t2, s2, e2), (t3, _, _)
+        in zip(steps, steps[1:], steps[2:], steps[3:])
+        if t1 == t0 and s1 == s2 == 0.5 * s0 and t3 == t0 + s0]
+    assert accepted and max(accepted) <= local_tol
+    # the miss was there to shrink: a full step from t = 0 that missed
+    assert any(t == 0.0 and e > local_tol for t, _, e in steps)

@@ -67,25 +67,43 @@ def test_apply_matches_dense(cluster12, basis12):
     assert np.allclose(lo @ v, dense @ v, atol=1e-12)
 
 
-@pytest.mark.parametrize("variant", ["pxp", "full"])
-def test_apply_complex_is_real_plus_imaginary_part(variant, cluster12,
-                                                   basis12, wide12):
+@pytest.mark.parametrize("case", [("pxp", 12, False), ("pxp", 12, True),
+                                  ("pxp", 24, True), ("full", 12, False),
+                                  ("full", 12, True)],
+                         ids=["pxp", "pxp-sector", "pxp24-sector", "full",
+                              "full-sector"])
+def test_apply_complex_is_real_plus_imaginary_part(case, request, wide12):
+    variant, n_atoms, in_sector = case
+    cluster = request.getfixturevalue("cluster%d" % n_atoms)
     if variant == "pxp":
-        op = HamiltonianOperator(HamiltonianSpec(), basis12)
+        op = HamiltonianOperator(HamiltonianSpec(),
+                                 request.getfixturevalue("basis%d" % n_atoms),
+                                 cluster)
     else:
-        op = HamiltonianOperator(full_rydberg_spec(), wide12,
-                                 cluster=cluster12)
+        op = HamiltonianOperator(full_rydberg_spec(), wide12, cluster)
+    if in_sector:
+        op = op.sector()[1]
     rng = np.random.default_rng(29)
     v = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
-    for omega, delta in ((0.9, 0.4), (0.0, -1.1)):
+    for omega, delta in ((0.9, 0.4), (0.9, 0.4), (0.3, 0.4), (0.0, -1.1)):
         got = op.apply(v, omega, delta)
         assert got.dtype == np.complex128
         # H is real, so a complex psi is two real products, bit for bit
-        parts = (op.apply(v.real, omega, delta)
-                 + 1j * op.apply(v.imag, omega, delta))
-        assert np.array_equal(got, parts)
+        parts = np.empty_like(got)
+        parts.real = op.apply(v.real, omega, delta)
+        parts.imag = op.apply(v.imag, omega, delta)
+        if omega:
+            assert got.tobytes() == parts.tobytes()
+        else:
+            # a zero diagonal entry times x + iy in complex arithmetic
+            # gives a zero whose sign may differ from the real product's
+            assert np.array_equal(got, parts)
         assert np.allclose(got, op.dense(omega, delta) @ v, rtol=0,
                            atol=1e-12)
+    # the complex values share the float64 flip's index arrays
+    assert op.flip.dtype == np.float64
+    assert np.shares_memory(op._complex_flip.indices, op.flip.indices)
+    assert np.shares_memory(op._complex_flip.indptr, op.flip.indptr)
 
 
 def test_dense_is_symmetric(cluster12, wide12):
