@@ -493,6 +493,8 @@ def cmd_tn_grid(cfg, run):
         raise ConfigError("z1 must be strictly increasing for dn_dz1")
     loop_z = _build_loop(cfg["loop_z"]) if "loop_z" in cfg else None
     loop_x = _build_loop(cfg["loop_x"]) if "loop_x" in cfg else None
+    if loop_x is not None and not projected:
+        raise ConfigError("loop_x needs the projected network")
     records = []
     warm = None
     boundaries = []
@@ -551,10 +553,13 @@ def cmd_bffm_scaling(cfg, run):
 
 def cmd_tee(cfg, run):
     n_atoms = _need(cfg, "n_atoms", int)
+    source = cfg.get("source", "ansatz")
+    if source not in ("ansatz", "sweep"):
+        raise ConfigError("source must be ansatz or sweep")
     cluster = tee_cluster(n_atoms)
     regions = kitaev_preskill_regions(cluster)
     covers = enumerate_maximal_covers(cluster)
-    if cfg.get("source", "ansatz") == "ansatz":
+    if source == "ansatz":
         basis = enumerate_basis(constraint_graph(cluster, 2.0))
         builder = AnsatzBuilder(covers, basis)
         rows = []

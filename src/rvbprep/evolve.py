@@ -139,17 +139,18 @@ def evolve_sweep(op, schedule, psi0=None, rvb=None, dt_max=0.5, local_tol=1e-9,
                  n_samples=400, checkpoints=()):
     """Propagate through the sweep and record observables on a uniform grid.
 
-    psi0 defaults to the vacuum.  ``checkpoints`` are times at which full
-    state snapshots are stored (in addition to the final state).  Every
-    ``CALIB_INTERVAL`` accepted full steps the step size is recalibrated
-    by comparing one full step against two half steps; a Krylov error
-    beyond ``local_tol`` in any of the three counts as a doubling error
-    and shrinks the step.  The steps in between, and every step shortened
-    to land on a sample time or a checkpoint, are never checked: only
-    their Krylov error is, and a miss there raises.  The trajectory counts
-    every H.psi product (``matvecs``) and keeps the largest Krylov error
-    estimate of an accepted step, summed over its two exponentials
-    (``krylov_error``).
+    psi0 defaults to the vacuum.  ``n_samples`` >= 2 sample times span
+    [0, T], both ends included.  ``checkpoints`` are times in [0, T] at
+    which full state snapshots are stored (in addition to the final
+    state).  Every ``CALIB_INTERVAL`` accepted full steps the step size is
+    recalibrated by comparing one full step against two half steps; a
+    Krylov error beyond ``local_tol`` in any of the three counts as a
+    doubling error and shrinks the step.  The steps in between, and every
+    step shortened to land on a sample time or a checkpoint, are never
+    checked: only their Krylov error is, and a miss there raises.  The
+    trajectory counts every H.psi product (``matvecs``) and keeps the
+    largest Krylov error estimate of an accepted step, summed over its two
+    exponentials (``krylov_error``).
 
     H and the vacuum are invariant under every symmetry of the cluster, so
     the sweep runs in the fully symmetric sector of ``op.sector``: psi0 must
@@ -158,6 +159,12 @@ def evolve_sweep(op, schedule, psi0=None, rvb=None, dt_max=0.5, local_tol=1e-9,
     through P.T, so it is exact for any ``rvb``.  ``rk4_evolve`` stays on
     the full basis as the oracle.
     """
+    T = schedule.total_time
+    if n_samples < 2:
+        raise EvolveError("n_samples must be at least 2, got %r" % n_samples)
+    if any(not 0.0 <= c <= T for c in checkpoints):
+        raise EvolveError("checkpoints %s lie outside [0, %g]"
+                          % (list(checkpoints), T))
     basis = op.basis
     iso, red = op.sector()
     counted = _CountingOperator(red)
@@ -171,12 +178,9 @@ def evolve_sweep(op, schedule, psi0=None, rvb=None, dt_max=0.5, local_tol=1e-9,
         raise EvolveError("psi0 is not symmetric: a component of norm "
                           "%.2e lies outside the fully symmetric sector"
                           % leak)
-    T = schedule.total_time
 
     samples = np.linspace(0.0, T, n_samples)
     events = np.unique(np.concatenate([samples, np.asarray(checkpoints, dtype=float)]))
-    if events[0] > 0:
-        events = np.concatenate([[0.0], events])
 
     # <rvb|P phi> = <P.T rvb|phi> for any rvb
     rvb_amps = iso.T @ rvb.amplitudes if rvb is not None else None
@@ -206,8 +210,7 @@ def evolve_sweep(op, schedule, psi0=None, rvb=None, dt_max=0.5, local_tol=1e-9,
     krylov_error = 0.0
     since_calib = CALIB_INTERVAL      # calibrate on the very first step
     ktol = 0.1 * local_tol
-    record(0.0)
-    for t_event in events[1:]:
+    for t_event in events:          # events[0] = 0: records t = 0, no step
         while t < t_event - 1e-12:
             step = min(dt, dt_max, t_event - t)
             full_step = step >= min(dt, dt_max) - 1e-14

@@ -24,7 +24,8 @@ the RVB PEPS) splits the bond space into four sectors, the XOR of the leg
 charges.  RowOperator applies a row one sector at a time and keeps the
 ring-closing bond at its n_occ occupation values, a quarter of its
 dimension, because the other legs fix its charge.  Only the right
-boundary fixed point is iterated: the left is its mirror image.
+boundary fixed point is iterated: the left is its mirror image.  A row,
+its boundaries and its observables are complex exactly when (z1, z2) are.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ class TnetError(RuntimeError):
 
 
 def site_matrix(z1, z2):
-    """Per-atom map (1 + z2 s+)(1 + z1 s-) in the (g, r) basis."""
-    return np.array([[1.0, z1], [z2, 1.0 + z1 * z2]], dtype=complex)
+    """Per-atom (1 + z2 s+)(1 + z1 s-) in the (g, r) basis, of z's dtype."""
+    return np.array([[1.0, z1], [z2, 1.0 + z1 * z2]])
 
 
 # --- triangle tensors -----------------------------------------------------
@@ -162,18 +163,15 @@ def double_triangle_tensor(z1, z2, projected=True, mod=None):
     ('xstring', j) with j the local side index 0..2 (None: all sides, for a
     density); a 'zstring' j may also be a tuple of sides, each of which
     carries a Z.  The x string X_j = |0><j+1| + h.c. exists only in the
-    projected network.
+    projected network.  D has the dtype of site_matrix(z1, z2).
     """
     net = NETWORKS[projected]
     o = _insertion(mod, net)
     k = _dimer_tensor(z1, z2, net.states)
     n = 4 * net.n_occ
     ko = np.tensordot(o, k.conj(), axes=(1, 0))         # bra summed in
-    D = np.einsum("cxyz,cuvw,cpqr->xupyvqzwr", k, ko,
-                  net.occ_legs).reshape(n, n, n)
-    if np.max(np.abs(D.imag)) < 1e-300:
-        D = D.real
-    return D
+    return np.einsum("cxyz,cuvw,cpqr->xupyvqzwr", k, ko,
+                     net.occ_legs).reshape(n, n, n)
 
 
 def double_edge_matrix(occ):
@@ -428,8 +426,8 @@ def _check_mirror(site, edge):
 
 @dataclass
 class CylinderTransferMatrix:
-    z1: float
-    z2: float
+    z1: complex         # real (z1, z2) give a float64 row, else complex128
+    z2: complex
     circumference: int
     projected: bool
     op: RowOperator = field(init=False, repr=False)
@@ -472,8 +470,7 @@ class CylinderTransferMatrix:
 def cylinder_transfer(z1, z2, L, projected=True):
     if L > 8:
         raise TnetError("circumference beyond 8 not supported")
-    return CylinderTransferMatrix(z1=float(z1), z2=float(z2),
-                                  circumference=L, projected=projected)
+    return CylinderTransferMatrix(z1, z2, L, projected)
 
 
 # --- dominant eigenpairs --------------------------------------------------
@@ -511,7 +508,7 @@ def _power_iterate(matvec, x, tol):
     res = np.inf
     for it in range(1, POWER_MAX_ITER + 1):
         y = matvec(x)
-        lam = float(x @ y)
+        lam = np.vdot(x, y)
         res = float(np.linalg.norm(y - lam * x))
         nrm = np.linalg.norm(y)
         if nrm == 0.0:
@@ -537,8 +534,9 @@ def dominant_eigenpair(tm, tol=DEFAULT_TOL, right0=None, left0=None,
     when given; the sector's lambda1/lambda0 stays well below 1 (at most
     0.4 on the figS5 grid), so it converges in tens of row applies.  The
     left one is its image under tm.mirror (left0 is accepted and unused).
-    |lambda1| is the second-largest magnitude of one Arnoldi (ARPACK) solve,
-    reported as 0 below tol * lambda0.
+    Both have the row's dtype; lambda0, of a positive map (a double layer),
+    must be real and positive to tol.  |lambda1| is the second-largest
+    magnitude of one Arnoldi (ARPACK) solve, reported as 0 below tol * lambda0.
     """
     if tm.circumference % 2:
         raise TnetError(
@@ -553,15 +551,15 @@ def dominant_eigenpair(tm, tol=DEFAULT_TOL, right0=None, left0=None,
     # a row maps the identity sector into itself, with exact zeros outside
     # it (even L; see RowOperator)
     lam0, right, iterations, residual = _power_iterate(
-        lambda x: op.apply(x, sector=0), np.asarray(x0, dtype=float) * m_id,
-        tol)
-    if lam0 <= 0:
-        raise TnetError("dominant eigenvalue is not positive")
+        lambda x: op.apply(x, sector=0), np.asarray(x0, op.dtype) * m_id, tol)
+    if not lam0.real > 0 or abs(lam0.imag) > tol * abs(lam0):
+        raise TnetError("lambda0 = %s is not real and positive" % lam0)
+    lam0 = float(lam0.real)
     lam1 = np.nan
     if compute_lam1:
         # the mask keeps ARPACK's restart vectors in the sector
         lin = spla.LinearOperator(
-            (dim, dim), dtype=np.float64,
+            (dim, dim), dtype=op.dtype,
             matvec=lambda v: op.apply(v * m_id, sector=0))
         vals = spla.eigs(lin, k=2, which="LM", tol=tol,
                          v0=rng.standard_normal(dim) * m_id,
@@ -593,7 +591,8 @@ def correlation_length(tm, boundaries=None, tol=DEFAULT_TOL):
 # --- observables ----------------------------------------------------------
 
 def _expect_rows(tm, boundaries, mods_by_row):
-    """(l| prod_m T_mod(m) |r) / (lam0^rows * (l|r)) over the row span."""
+    """(l| prod_m T_mod(m) |r) / (lam0^rows * (l|r)) over the row span, real
+    at any z: every insertion here (density, Z or X string) is Hermitian."""
     if not mods_by_row:
         return 1.0
     rows = sorted(mods_by_row)
@@ -881,6 +880,6 @@ def phase_diagram_point(z1, z2, L, projected=True, loop_z=None, loop_x=None,
     rec["bffm_z_l18"] = (observable(bffm, tm, loop_z, b, x_type=False, tol=tol)
                         if loop_z is not None else np.nan)
     rec["bffm_x_l18"] = (observable(bffm, tm, loop_x, b, x_type=True, tol=tol)
-                        if loop_x is not None and projected else np.nan)
+                        if loop_x is not None else np.nan)
     rec.update(seconds)
     return rec, {"right": b.right}

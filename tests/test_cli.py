@@ -454,6 +454,20 @@ def test_config_errors_exit_2(tmp_path):
     assert run_cli(["gs-scan", "--config", missing,
                     "--out", str(tmp_path / "o3")]) == 2
 
+    # keys that used to run another mode: any tee source but "ansatz" ran
+    # a sweep, and an x loop on the unprojected network wrote NaNs
+    for verb, cfg, key in (
+            ("tee", {"n_atoms": 36, "source": "sweeps"}, "source"),
+            ("tn-grid", {"circumference": 2, "projected": False,
+                         "z1": [0.2, 0.3], "z2": [0.3],
+                         "loop_x": {"shape": "hexagon", "radius": 1}},
+             "loop_x")):
+        out = tmp_path / verb
+        assert run_cli([verb, "--config", write_config(tmp_path, key, cfg),
+                        "--out", str(out)]) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed" and key in manifest["error"]
+
 
 def test_sweep_rejects_total_time(tmp_path):
     # each sweep lasts one of its sweep_times, so total_time is not read

@@ -129,7 +129,7 @@ def test_evolve_records_observables(op12, basis12, covers12):
     rvb = rvb_state(covers12, basis12)
     s = SweepSchedule.default_protocol(6.0)
     traj = evolve_sweep(op12, s, rvb=rvb, n_samples=20,
-                        checkpoints=(3.0,))
+                        checkpoints=(0.0, 3.0, 6.0))
     assert len(traj.times) == 20
     assert traj.times[0] == 0.0 and traj.times[-1] == 6.0
     assert np.allclose(traj.omegas, [s.omega(t) for t in traj.times])
@@ -144,8 +144,26 @@ def test_evolve_records_observables(op12, basis12, covers12):
     per_atom = [((basis12.configs >> np.uint64(i)) & np.uint64(1)) @ final
                 for i in range(basis12.n_atoms)]
     assert traj.density[-1] == pytest.approx(np.mean(per_atom), abs=1e-14)
-    assert set(traj.snapshots) == {3.0}
+    # both ends of [0, T] are checkpoints too
+    assert set(traj.snapshots) == {0.0, 3.0, 6.0}
     assert abs(traj.snapshots[3.0].norm - 1.0) < 1e-10
+    assert np.array_equal(traj.snapshots[0.0].amplitudes,
+                          vacuum(basis12).amplitudes)
+    assert np.array_equal(traj.snapshots[6.0].amplitudes,
+                          traj.final_state.amplitudes)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"n_samples": 1}, {"n_samples": 0}, {"checkpoints": (-0.5,)},
+    {"checkpoints": (1.0, 2.5)}])
+def test_sweep_rejects_samples_and_checkpoints_outside_its_span(op12,
+                                                                 kwargs):
+    # unchecked, n_samples = 1 took no step and returned the vacuum,
+    # n_samples = 0 raised an IndexError, a checkpoint before 0 recorded
+    # t = 0 twice and stored no snapshot, and one beyond T failed deep in
+    # the schedule
+    with pytest.raises(EvolveError, match="n_samples|outside"):
+        evolve_sweep(op12, SweepSchedule.default_protocol(2.0), **kwargs)
 
 
 def test_overlap_rejects_mismatched_bases(basis12):

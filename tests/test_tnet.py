@@ -24,6 +24,18 @@ TRIANGLE_BITS = {
     False: [(c & 1, (c >> 1) & 1, (c >> 2) & 1) for c in range(8)],
 }
 
+# the final state of the T = 90 sweep as fitted (fig2_fit_sweep_T90 at
+# Delta/Omega = 2.4, rounded) and a point near the fitted sweep states
+T90_FINAL = (-0.266 - 0.032j, -0.752 - 0.218j)
+COMPLEX_POINTS = [T90_FINAL, (-0.25 + 0.1j, -0.5 + 0.2j)]
+
+
+def at_complex_points_too(cases, z):
+    """Every (projected, L) case at the real point z, under its id without
+    z, and at every complex point."""
+    return ([pytest.param(p, L, *z, id="%s-%d" % (p, L)) for p, L in cases]
+            + [(p, L) + c for c in COMPLEX_POINTS for p, L in cases])
+
 INSERTIONS = [None, ("density", 0), ("density", 2), ("density", None),
               ("zstring", 1), ("zstring", (0, 2)), ("zstring", (0, 1, 2)),
               ("xstring", 0), ("xstring", 2)]
@@ -129,22 +141,27 @@ def bond_charges(projected, L):
 
 @pytest.fixture(scope="module")
 def ring_oracles():
-    """(chains, ring_dense) per (projected, L), each built once."""
+    """(chains, ring_dense) of a (projected, L, z1, z2), kept until another
+    is asked for: a complex projected L = 4 row takes 0.27 GB."""
     cache = {}
 
-    def get(projected, L):
-        if (projected, L) not in cache:
-            chains = oracle_chains(0.35, 0.6, L, projected)
-            cache[projected, L] = chains, ring_dense(chains)
-        return cache[projected, L]
+    def get(projected, L, z1, z2):
+        key = projected, L, z1, z2
+        if key not in cache:
+            cache.clear()
+            chains = oracle_chains(z1, z2, L, projected)
+            cache[key] = chains, ring_dense(chains)
+        return cache[key]
     return get
 
 
-@pytest.mark.parametrize("projected,L", [
-    (True, 2), (False, 2), (False, 3), (True, 3), (True, 4), (False, 4)])
-def test_row_operator_matches_ring_contraction(ring_oracles, projected, L):
-    chains, want = ring_oracles(projected, L)
-    sites = _row_sites(0.35, 0.6, L, projected)
+@pytest.mark.parametrize("projected,L,z1,z2", at_complex_points_too([
+    (True, 2), (False, 2), (False, 3), (True, 3), (True, 4), (False, 4)],
+    (0.35, 0.6)))
+def test_row_operator_matches_ring_contraction(ring_oracles, projected, L,
+                                               z1, z2):
+    chains, want = ring_oracles(projected, L, z1, z2)
+    sites = _row_sites(z1, z2, L, projected)
     for got, ref in zip(row_chains(sites), chains):
         assert np.allclose(got, ref, rtol=0, atol=1e-15 * np.abs(ref).max())
     op = RowOperator(sites)
@@ -417,21 +434,23 @@ def test_transfer_conserves_ring_parity():
 
 
 def test_dominant_eigenpair_matches_dense_sector():
-    tm = cylinder_transfer(0.3, 0.4, 2)
-    b = dominant_eigenpair(tm)
-    mat = tm.op.dense()
-    sk, sb = parity_signs(True, 2)
-    idx = np.nonzero((sk > 0) & (sb > 0))[0]
-    evals = np.linalg.eigvals(mat[np.ix_(idx, idx)])
-    lam0 = float(np.max(evals.real))
-    assert b.lam0 == pytest.approx(lam0, rel=1e-8)
-    # fixed-point property and bi-orthonormalization
-    assert np.linalg.norm(tm.op.apply(b.right) - b.lam0 * b.right) < 1e-6
-    assert abs(b.left @ b.right - 1.0) < 1e-8
-    # lambda1 is the second-largest identity-sector magnitude
-    sub = np.sort(np.abs(evals))[-2]
-    assert b.lam1_abs == pytest.approx(sub, rel=1e-8)
-    assert b.lam1_abs < b.lam0
+    for z1, z2 in [(0.3, 0.4)] + COMPLEX_POINTS:
+        tm = cylinder_transfer(z1, z2, 2)
+        b = dominant_eigenpair(tm)
+        mat = tm.op.dense()
+        sk, sb = parity_signs(True, 2)
+        idx = np.nonzero((sk > 0) & (sb > 0))[0]
+        evals = np.linalg.eigvals(mat[np.ix_(idx, idx)])
+        # the dense lambda0 is real too
+        lam0 = evals[np.argmax(evals.real)]
+        assert b.lam0 == pytest.approx(lam0, rel=1e-8)
+        # fixed-point property and bi-orthonormalization
+        assert np.linalg.norm(tm.op.apply(b.right) - b.lam0 * b.right) < 1e-6
+        assert abs(b.left @ b.right - 1.0) < 1e-8
+        # lambda1 is the second-largest identity-sector magnitude
+        sub = np.sort(np.abs(evals))[-2]
+        assert b.lam1_abs == pytest.approx(sub, rel=1e-8)
+        assert b.lam1_abs < b.lam0
 
 
 def mirror_matrix(projected, L):
@@ -446,7 +465,8 @@ def mirror_matrix(projected, L):
     return g[np.arange(D ** L).reshape((D,) * L).transpose().ravel()]
 
 
-MIRROR_POINTS = [(0.0, 0.3), (0.05, 0.02), (1.5, 0.8), (-0.4, -0.25)]
+MIRROR_POINTS = [(0.0, 0.3), (0.05, 0.02), (1.5, 0.8),
+                 (-0.4, -0.25)] + COMPLEX_POINTS
 
 
 @pytest.mark.parametrize("z1,z2", MIRROR_POINTS)
@@ -468,18 +488,18 @@ def test_plain_rows_are_mirror_symmetric(projected, L, z1, z2):
     assert np.allclose(tm.mirror(v), g @ v, rtol=0, atol=1e-13)
 
 
-@pytest.mark.parametrize("projected,L", [
-    (True, 2), (True, 4), (False, 2), (False, 4)])
+@pytest.mark.parametrize("projected,L,z1,z2", at_complex_points_too([
+    (True, 2), (True, 4), (False, 2), (False, 4)], (0.35, 0.6)))
 def test_left_boundary_is_the_dense_left_eigenvector(ring_oracles,
-                                                     projected, L):
-    _, want = ring_oracles(projected, L)
-    tm = cylinder_transfer(0.35, 0.6, L, projected)
+                                                     projected, L, z1, z2):
+    _, want = ring_oracles(projected, L, z1, z2)
+    tm = cylinder_transfer(z1, z2, L, projected)
     b = dominant_eigenpair(tm)
     idx = np.flatnonzero(bond_charges(projected, L) == 0)
     vals, vecs = np.linalg.eig(want[np.ix_(idx, idx)].T)
     top = np.argmax(vals.real)
-    assert b.lam0 == pytest.approx(vals[top].real, rel=1e-9)
-    left = vecs[:, top].real
+    assert b.lam0 == pytest.approx(vals[top], rel=1e-9)
+    left = vecs[:, top]
     left /= left @ b.right[idx]
     assert np.abs(b.left[idx] - left).max() <= 1e-8 * np.abs(left).max()
     assert np.all(np.delete(b.left, idx) == 0.0)
@@ -524,7 +544,8 @@ def test_odd_circumference_refused():
         cylinder_transfer(0.1, 0.1, 10)
 
 
-@pytest.mark.parametrize("z1,z2", [(0.0, 0.0), (0.5, 0.3), (1.2, 0.8)])
+@pytest.mark.parametrize("z1,z2", [(0.0, 0.0), (0.5, 0.3),
+                                   (1.2, 0.8)] + COMPLEX_POINTS)
 def test_torus_amplitudes_match_ansatz_projected(cluster12, basis12,
                                                  covers12, z1, z2):
     tn = torus_amplitudes(z1, z2, cluster12, basis12, projected=True)
@@ -600,6 +621,10 @@ def test_phase_diagram_point_record():
     # warm-started repeat reproduces the same numbers
     rec2, _ = phase_diagram_point(0.3, 0.3, 2, warm=warm)
     assert rec2["density"] == pytest.approx(rec["density"], abs=1e-9)
+    # an x loop on the unprojected network is refused, not left NaN
+    with pytest.raises(TnetError, match="projected"):
+        phase_diagram_point(0.3, 0.3, 2, projected=False,
+                            loop_x=hexagon_loop("diagonal", 1))
 
 
 @pytest.mark.parametrize("projected,L,z1,z2", [
@@ -608,7 +633,8 @@ def test_phase_diagram_point_record():
     # lambda1 a complex pair (projected L = 2), or small and within 2 % in
     # magnitude of complex eigenvalues (unprojected L = 4, small z)
     (True, 2, 0.7, 0.3), (True, 2, 1.5, 0.05),
-    (False, 4, 0.3, 0.05), (False, 4, 0.05, 0.05)])
+    (False, 4, 0.3, 0.05), (False, 4, 0.05, 0.05)]
+    + [(p, L) + z for z in COMPLEX_POINTS for p, L in ((True, 2), (False, 4))])
 def test_correlation_length_matches_dense_identity_sector(projected, L, z1,
                                                           z2):
     tm = cylinder_transfer(z1, z2, L, projected=projected)
@@ -684,6 +710,68 @@ def test_figs3_loops_have_nonzero_closed_loops_at_rvb():
         assert closed_z == pytest.approx((-1) ** len(loop.enclosed),
                                          abs=1e-9)
         assert abs(string_expectation(tm, loop, b, x_type=True)) > 1e-12
+
+
+@pytest.mark.parametrize("z1,z2", COMPLEX_POINTS)
+def test_observables_at_conjugate_and_negated_z(z1, z2):
+    # phi(conj z) = conj(phi(z)), and M(-z) = S M(z) S with S = diag(1, -1)
+    # makes phi(-z) equal (-1)^n phi(z) up to a global sign: densities, xi
+    # and Z strings are unchanged by either, and each X of a string changes
+    # sign at -z (the open half string of this loop has three)
+    loop = hexagon_loop("diagonal", 1)
+    assert len(loop.open_atoms) == 3
+
+    def observe(z1, z2):
+        tm = cylinder_transfer(z1, z2, 4)
+        b = dominant_eigenpair(tm, tol=1e-13)
+        return np.array([
+            mean_density(tm, b), correlation_length(tm, b), bffm(tm, loop, b),
+            bffm(tm, loop, b, x_type=True),
+            string_expectation(tm, loop, b, open_string=True, x_type=True)])
+
+    at_z = observe(z1, z2)
+    assert np.all(at_z != 0.0)
+    assert np.allclose(observe(np.conj(z1), np.conj(z2)), at_z, rtol=1e-12,
+                       atol=0)
+    flips = np.array([1, 1, 1, 1, -1])
+    assert np.allclose(observe(-z1, -z2), flips * at_z, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("z1,z2,dtype", [
+    (0.3, 0.4, np.float64), (0, 1, np.float64), (0.3 + 0j, 0.4, np.complex128),
+    T90_FINAL + (np.complex128,)])
+def test_rows_and_boundaries_are_complex_exactly_when_z_is(monkeypatch, z1,
+                                                           z2, dtype):
+    # a real z keeps the row, its insertion rows, every vector the boundary
+    # solvers apply it to and the boundaries in float64, so the real grids
+    # never run complex products
+    applied = set()
+    apply = RowOperator.apply
+
+    def spy(self, v, sector=None):
+        applied.add(v.dtype)
+        return apply(self, v, sector)
+    monkeypatch.setattr(RowOperator, "apply", spy)
+    tm = cylinder_transfer(z1, z2, 4)
+    b = dominant_eigenpair(tm)
+    assert applied == {np.dtype(dtype)}
+    rows = [tm.op] + [tm.modified(mods) for x_type in (False, True)
+                      for mods in _loop_mods(hexagon_loop("diagonal", 1), 4,
+                                             True, x_type).values()]
+    assert {row.dtype for row in rows} == {np.dtype(dtype)}
+    assert b.right.dtype == b.left.dtype == dtype
+    assert type(b.lam0) is float and type(b.lam1_abs) is float
+
+
+@pytest.mark.parametrize("phase", [-1.0, np.exp(0.25j * np.pi)])
+def test_dominant_eigenvalue_must_be_real_and_positive(phase):
+    # the power iteration converges on the row times a phase, whose
+    # lambda0 the boundary solve refuses
+    tm = cylinder_transfer(0.3, 0.4, 2)
+    apply = tm.op.apply
+    tm.op.apply = lambda v, sector=None: phase * apply(v, sector)
+    with pytest.raises(TnetError, match="not real and positive"):
+        dominant_eigenpair(tm, compute_lam1=False)
 
 
 def test_cold_start_is_reproducible():
