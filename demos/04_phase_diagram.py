@@ -27,10 +27,11 @@ print("  mean density = %.12f (exactly 1/4: one dimer per kagome vertex)"
 print("\n%6s %10s %10s %10s %12s" % ("z1", "density", "dn/dz1", "xi", "bffm_z"))
 warm = None
 for z1 in np.arange(0.1, 1.01, 0.1):
-    rec, warm = tnet.phase_diagram_point(z1, z2, L, loop_z=loop, warm=warm)
+    rec, warm = tnet.phase_diagram_point(
+        z1, z2, L, loops={"bffm_z": (loop, False)}, warm=warm)
     print("%6.2f %10.6f %10.4f %10.4f %12.6f"
           % (rec["z1"], rec["density"], rec["dn_dz1"], rec["xi"],
-             rec["bffm_z_l18"]))
+             rec["bffm_z"]))
 
 print("\nthe dn/dz1 ridge and the growth of xi locate the transition; the "
       "BFFM value is small in the liquid and rises once monomers condense.")

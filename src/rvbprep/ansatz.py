@@ -63,7 +63,6 @@ class AnsatzError(ValueError):
 class AnsatzParams:
     z1: complex
     z2: complex
-    projected: bool = True
 
     def __post_init__(self):
         self.z2 = complex(self.z2)
@@ -314,7 +313,7 @@ def fit_to_state(psi, covers, basis, warm_start=None, max_evals=2000,
         z1 = np.inf if a == 0 else 1.0 / a
     else:
         z1 = a
-    params = AnsatzParams(z1, z2, projected=basis.radius >= 2.0)
+    params = AnsatzParams(z1, z2)
     gradient_norm = float(np.linalg.norm(grad))
     return FitResult(params, float(abs(np.vdot(phi.amplitudes, target))),
                      n_evaluations, gradient_norm <= GRAD_TOL, gradient_norm,

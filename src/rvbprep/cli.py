@@ -79,22 +79,26 @@ def load_config(path):
     return cfg
 
 
-# the keys each verb reads, and the keys read inside the objects (or lists
-# of objects) that some keys hold; a run stops at any other key
+# the keys each verb reads per source of its states (None: it has one; the
+# first is the default), and those read inside objects (or lists of them)
 SWEEP_KEYS = {"protocol", "delta0", "delta1", "stage_times"}
 MODEL_KEYS = {"n_atoms", "cells", "model"}
+FIT_KEYS = MODEL_KEYS | {"delta_over_omega", "source"}
 VERB_KEYS = {
-    "cluster": {"n_atoms", "cells", "constraint_radius"},
-    "gs-scan": MODEL_KEYS | {"lambda"},
-    "sweep": MODEL_KEYS | SWEEP_KEYS | {"sizes", "sweep_times", "delta1_grid",
-                                        "n_samples", "write_trajectories"},
-    "fit": MODEL_KEYS | SWEEP_KEYS | {
-        "total_time", "delta_over_omega", "source"},
-    "tn-grid": {"circumference", "projected", "z1", "z2", "loop_z", "loop_x"},
-    "bffm-scaling": {"circumference", "loops", "z1", "z2"},
-    "tee": SWEEP_KEYS | {"total_time", "n_atoms", "model", "source", "points",
-                         "checkpoint_times"},
-    "verify": {"golden_dir", "compare_dir", "tolerances"},
+    "cluster": {None: {"n_atoms", "cells", "constraint_radius"}},
+    "gs-scan": {None: MODEL_KEYS | {"lambda"}},
+    "sweep": {None: MODEL_KEYS | SWEEP_KEYS | {
+        "sizes", "sweep_times", "delta1_grid", "n_samples",
+        "write_trajectories"}},
+    "fit": {"groundstate": FIT_KEYS,
+            "sweep": FIT_KEYS | SWEEP_KEYS | {"total_time"}},
+    "tn-grid": {None: {"circumference", "projected", "z1", "z2", "loop_z",
+                       "loop_x"}},
+    "bffm-scaling": {None: {"circumference", "loops", "z1", "z2"}},
+    "tee": {"ansatz": {"n_atoms", "source", "points"},
+            "sweep": SWEEP_KEYS | {"n_atoms", "model", "source", "total_time",
+                                   "checkpoint_times"}},
+    "verify": {None: {"golden_dir", "compare_dir", "tolerances"}},
 }
 LOOP_KEYS = {"shape", "radius", "w", "h"}
 NESTED_KEYS = dict(
@@ -105,9 +109,23 @@ NESTED_KEYS = dict(
     points={"label", "limb", "z1", "z2"})
 
 
+def _source_of(verb, cfg):
+    """The configured source of ``verb``'s states, or its default."""
+    sources = list(VERB_KEYS[verb])
+    source = cfg.get("source", sources[0])
+    if source not in sources:
+        raise ConfigError("source must be %s" % " or ".join(map(str, sources)))
+    return source
+
+
 def check_keys(verb, cfg):
     """Raise ConfigError naming every config key ``verb`` does not read."""
-    unknown = sorted(set(cfg) - VERB_KEYS[verb])
+    sources = VERB_KEYS[verb]
+    try:
+        allowed = sources[_source_of(verb, cfg)]
+    except ConfigError:         # the verb refuses it once its manifest exists
+        allowed = set().union(*sources.values())
+    unknown = sorted(set(cfg) - allowed)
     for key, val in cfg.items():
         for item in val if isinstance(val, list) else [val]:
             if key in NESTED_KEYS and isinstance(item, dict):
@@ -297,37 +315,40 @@ def _record_sector(run, n_atoms, op):
     run._write()
 
 
-def _record_sweeps(run, n_atoms, counters, seconds):
-    """Add the solver counters of one size's sweeps to the manifest: their
-    number, steps and H.psi products, the largest Krylov error estimate
-    any of them accepted, and the seconds spent propagating
-    (``propagation_s``).  ``counters`` holds each sweep's (n_steps,
-    matvecs, krylov_error).  The CSVs never hold them, so reruns stay
-    byte-identical."""
+def _timed_sweep(counters, op, schedule, **kwargs):
+    """Run evolve_sweep; append (n_steps, matvecs, krylov_error, secs)."""
+    t0 = time.perf_counter()
+    traj = evolve_sweep(op, schedule, **kwargs)
+    counters.append((traj.n_steps, traj.matvecs, traj.krylov_error,
+                     time.perf_counter() - t0))
+    return traj
+
+
+def _record_sweeps(run, n_atoms, counters):
+    """Add the counters ``_timed_sweep`` appended for one size's sweeps to
+    the manifest: their number, steps, H.psi products, largest accepted
+    Krylov error estimate and seconds propagating (``propagation_s``).  The
+    CSVs never hold them, so reruns stay byte-identical."""
     run.manifest.setdefault("sweep", []).append({
         "n_atoms": int(n_atoms), "sweeps": len(counters),
         "n_steps": sum(c[0] for c in counters),
         "matvecs": sum(c[1] for c in counters),
         "krylov_error": float(max((c[2] for c in counters), default=0.0)),
-        "propagation_s": round(seconds, 3)})
+        "propagation_s": round(sum(c[3] for c in counters), 3)})
     run._write()
 
 
-TN_PHASES = ("transfer_s", "boundaries_s", "observables_s")
-
-
-def _record_boundaries(run, counters, seconds):
-    """Add the transfer-matrix solver counters of a run to the manifest:
-    the power iterations of its right-boundary solves and their largest
-    residual relative to lam0, from (iterations, residual_ratio) pairs;
-    and, under ``seconds``, the wall time the run spent in each of
-    TN_PHASES: building transfer matrices, solving their boundaries and
-    evaluating observables.  The CSVs never hold them, so reruns stay
-    byte-identical."""
+def _record_boundaries(run, records):
+    """Add the solver counters of a run's ``tnet.phase_diagram_point``
+    records to the manifest: their power iterations, their largest residual
+    relative to lam0 and, under ``seconds``, their total in each of
+    tnet.PHASES.  The CSVs never hold them, so reruns stay byte-identical."""
     run.manifest["boundaries"] = {
-        "iterations": int(sum(it for it, _ in counters)),
-        "max_residual_ratio": float(max(res for _, res in counters))}
-    run.manifest["seconds"] = {k: round(seconds[k], 3) for k in TN_PHASES}
+        "iterations": int(sum(rec["iterations"] for rec in records)),
+        "max_residual_ratio": float(max(rec["residual_ratio"]
+                                        for rec in records))}
+    run.manifest["seconds"] = {k: round(sum(rec[k] for rec in records), 3)
+                               for k in tnet.PHASES}
 
 
 # --- verbs ----------------------------------------------------------------
@@ -398,17 +419,13 @@ def cmd_sweep(cfg, run):
         _, basis, covers, op = _operator(sub)
         rvb = rvb_state(covers, basis)
         _record_sector(run, n_atoms, op)
-        counters, seconds = [], 0.0
+        counters = []
         for delta1 in delta1s:
             scfg = sub if delta1 is None else dict(sub, delta1=float(delta1))
             for total in times:
                 schedule = _make_schedule(scfg, float(total))
-                t0 = time.perf_counter()
-                traj = evolve_sweep(op, schedule, rvb=rvb,
+                traj = _timed_sweep(counters, op, schedule, rvb=rvb,
                                     n_samples=cfg.get("n_samples", 200))
-                seconds += time.perf_counter() - t0
-                counters.append((traj.n_steps, traj.matvecs,
-                                 traj.krylov_error))
                 final_ov = abs(np.vdot(rvb.amplitudes,
                                        traj.final_state.amplitudes))
                 abs_ov = abs(np.vdot(rvb.amplitudes,
@@ -428,7 +445,7 @@ def cmd_sweep(cfg, run):
                                   traj.norms, traj.rvb_overlap, traj.density,
                                   traj.sector_weights]))
                     outputs.append(name)
-        _record_sweeps(run, n_atoms, counters, seconds)
+        _record_sweeps(run, n_atoms, counters)
     write_csv(run.path("sweep.csv"),
               ["n_atoms", "delta1", "total_time", "t_over_n",
                "final_overlap", "abs_overlap", "n_steps"], rows)
@@ -439,9 +456,7 @@ def cmd_sweep(cfg, run):
 def cmd_fit(cfg, run):
     cluster, basis, covers, op = _operator(cfg)
     ratios = _grid(cfg, "delta_over_omega")
-    source = cfg.get("source", "groundstate")
-    if source not in ("groundstate", "sweep"):
-        raise ConfigError("source must be groundstate or sweep")
+    source = _source_of("fit", cfg)
     _record_sector(run, cluster.n_atoms, op)
     snapshots = []
     if source == "groundstate":
@@ -453,7 +468,9 @@ def cmd_fit(cfg, run):
     else:
         schedule = _make_schedule(cfg, _need(cfg, "total_time", (int, float)))
         checks = [schedule.time_at_detuning_ratio(float(r)) for r in ratios]
-        traj = evolve_sweep(op, schedule, checkpoints=checks)
+        counters = []
+        traj = _timed_sweep(counters, op, schedule, checkpoints=checks)
+        _record_sweeps(run, cluster.n_atoms, counters)
         for r, t in zip(ratios, checks):
             snapshots.append((float(r), traj.snapshots[t]))
     results = fit_trajectory(snapshots, covers, basis)
@@ -481,8 +498,8 @@ def cmd_fit(cfg, run):
 
 def cmd_tn_grid(cfg, run):
     """Grid of transfer-matrix points; dn_dz1 differences the densities of
-    neighbouring z1 columns, and xi is computed on the unprojected network
-    only."""
+    neighbouring z1 columns, xi is computed on the unprojected network
+    only, and a BFFM column without its loop stays NaN."""
     L = cfg.get("circumference", 6)
     projected = cfg.get("projected", True)
     z1s = _grid(cfg, "z1")
@@ -491,25 +508,19 @@ def cmd_tn_grid(cfg, run):
         raise ConfigError("z1 needs at least two values for dn_dz1")
     if np.any(np.diff(z1s) <= 0):
         raise ConfigError("z1 must be strictly increasing for dn_dz1")
-    loop_z = _build_loop(cfg["loop_z"]) if "loop_z" in cfg else None
-    loop_x = _build_loop(cfg["loop_x"]) if "loop_x" in cfg else None
-    if loop_x is not None and not projected:
+    if "loop_x" in cfg and not projected:
         raise ConfigError("loop_x needs the projected network")
-    records = []
-    warm = None
-    boundaries = []
-    seconds = dict.fromkeys(TN_PHASES, 0.0)
+    loops = {"bffm_%s_l18" % k: (_build_loop(cfg["loop_" + k]), k == "x")
+             for k in "zx" if "loop_" + k in cfg}
+    records, warm = [], None
     for i2, z2 in enumerate(z2s):
         # serpentine ordering keeps successive points close for warm starts
         order = list(z1s) if i2 % 2 == 0 else list(z1s)[::-1]
         row = []
         for z1 in order:
             rec, warm = tnet.phase_diagram_point(
-                float(z1), float(z2), L, projected, loop_z, loop_x,
+                float(z1), float(z2), L, projected, loops,
                 fd_step=None, compute_xi=not projected, warm=warm)
-            boundaries.append((rec["iterations"], rec["residual_ratio"]))
-            for k in TN_PHASES:
-                seconds[k] += rec[k]
             row.append(rec)
         row.sort(key=lambda r: r["z1"])
         grad = np.gradient(np.array([r["density"] for r in row]), z1s)
@@ -518,52 +529,43 @@ def cmd_tn_grid(cfg, run):
         records.extend(row)
     cols = ["z1", "z2", "density", "dn_dz1", "xi", "bffm_z_l18", "bffm_x_l18"]
     write_csv(run.path("grid.csv"), cols,
-              [[rec[c] for c in cols] for rec in records])
-    _record_boundaries(run, boundaries, seconds)
+              [[rec.get(c, np.nan) for c in cols] for rec in records])
+    _record_boundaries(run, records)
     return ["grid.csv"]
 
 
 def cmd_bffm_scaling(cfg, run):
-    """BFFM values over a family of loop perimeters at fixed points."""
+    """BFFM values over a family of loop perimeters at fixed points, each
+    a cold boundary solve."""
     L = cfg.get("circumference", 6)
-    loops = [(spec, _build_loop(spec)) for spec in _need(cfg, "loops", list)]
+    specs = _need(cfg, "loops", list)
+    # the record key (i, x_type) holds the BFFM of the i-th loop
+    loops = {(i, x_type): (loop, x_type)
+             for i, loop in enumerate(map(_build_loop, specs))
+             for x_type in (False, True)}
     z2 = _need(cfg, "z2", (int, float))
-    rows = []
-    boundaries = []
-    seconds = dict.fromkeys(TN_PHASES, 0.0)
-    for z1 in _grid(cfg, "z1"):
-        t0 = time.perf_counter()
-        tm = tnet.cylinder_transfer(float(z1), float(z2), L, True)
-        t1 = time.perf_counter()
-        b = tnet.dominant_eigenpair(tm, compute_lam1=False)
-        t2 = time.perf_counter()
-        boundaries.append((b.iterations, b.residual / b.lam0))
-        for spec, loop in loops:
-            bz = tnet.bffm(tm, loop, b, x_type=False)
-            bx = tnet.bffm(tm, loop, b, x_type=True)
-            rows.append((z1, z2, loop.perimeter, spec["shape"], bz, bx))
-        for k, dt in zip(TN_PHASES, (t1 - t0, t2 - t1,
-                                     time.perf_counter() - t2)):
-            seconds[k] += dt
+    records = [tnet.phase_diagram_point(float(z1), float(z2), L, True, loops,
+                                        fd_step=None, compute_xi=False)[0]
+               for z1 in _grid(cfg, "z1")]
+    rows = [(rec["z1"], z2, loops[i, False][0].perimeter, spec["shape"],
+             rec[i, False], rec[i, True])
+            for rec in records for i, spec in enumerate(specs)]
     write_csv(run.path("bffm_scaling.csv"),
               ["z1", "z2", "perimeter", "shape", "bffm_z", "bffm_x"], rows)
-    _record_boundaries(run, boundaries, seconds)
+    _record_boundaries(run, records)
     return ["bffm_scaling.csv"]
 
 
 def cmd_tee(cfg, run):
     n_atoms = _need(cfg, "n_atoms", int)
-    source = cfg.get("source", "ansatz")
-    if source not in ("ansatz", "sweep"):
-        raise ConfigError("source must be ansatz or sweep")
+    source = _source_of("tee", cfg)
     cluster = tee_cluster(n_atoms)
     regions = kitaev_preskill_regions(cluster)
-    covers = enumerate_maximal_covers(cluster)
     if source == "ansatz":
+        covers = enumerate_maximal_covers(cluster)
         basis = enumerate_basis(constraint_graph(cluster, 2.0))
         builder = AnsatzBuilder(covers, basis)
-        rows = []
-        gammas = []
+        rows, gammas = [], []
         for pt in _need(cfg, "points", list):
             label = _need(pt, "label", str, "points[]")
             if pt.get("limb") == "vacuum":
@@ -580,12 +582,13 @@ def cmd_tee(cfg, run):
                    {"n_atoms": n_atoms, "points": gammas})
         return ["entropies.csv", "gamma.json"]
     else:                       # gamma along a sweep, raw and abs states
-        _, basis, covers, op = _operator(cfg, cluster)
+        _, _, _, op = _operator(cfg, cluster)
         schedule = _make_schedule(cfg, _need(cfg, "total_time", (int, float)))
         checks = list(_grid(cfg, "checkpoint_times"))
-        rvb = rvb_state(covers, basis)
         _record_sector(run, n_atoms, op)
-        traj = evolve_sweep(op, schedule, rvb=rvb, checkpoints=checks)
+        counters = []
+        traj = _timed_sweep(counters, op, schedule, checkpoints=checks)
+        _record_sweeps(run, n_atoms, counters)
         def gamma(psi):
             return entangle.topological_entropy_report(psi, regions).gamma
 

@@ -49,6 +49,7 @@ ENDCAP = np.array([[1.0, 0.0], [1.0, 0.0]])       # open-string endpoint:
 DEFAULT_TOL = 1e-10
 POWER_MAX_ITER = 200000
 START_SEED = 7          # seeds cold starts and the Arnoldi start vector
+PHASES = ("transfer_s", "boundaries_s", "observables_s")
 
 
 class TnetError(RuntimeError):
@@ -825,25 +826,23 @@ def _torus_contract(z1, z2, cluster, basis, projected):
 
 # --- phase-diagram grids --------------------------------------------------
 
-def phase_diagram_point(z1, z2, L, projected=True, loop_z=None, loop_x=None,
+def phase_diagram_point(z1, z2, L, projected=True, loops=None,
                         fd_step=1e-3, tol=DEFAULT_TOL, compute_xi=True,
                         warm=None):
-    """density, dn/dz1, xi and optional BFFM values at one (z1, z2).
+    """density, dn/dz1, xi and, under each key of ``loops``, the BFFM of its
+    (loop, x_type) at one (z1, z2), on the point's own boundaries.
 
     dn/dz1 is a central difference of step fd_step whose two transfer
     matrices start from the central boundaries; fd_step=None leaves it NaN
     for a caller that differences along its grid instead.  The record also
-    holds the solver counters of the point: the power iterations of all
-    its (right) boundary solves and their largest residual relative to lam0
-    (residual_ratio), and the wall seconds it spent building transfer
-    matrices (transfer_s), solving their boundaries (boundaries_s) and
-    evaluating observables (observables_s, which builds the insertion
-    rows).  Returns (record, warm) where warm holds the right boundary for
-    warm-starting the next grid point; a "left" entry in warm is ignored.
+    holds the power iterations of all the point's (right) boundary solves,
+    their largest residual relative to lam0 (residual_ratio) and the wall
+    seconds it spent in each of PHASES (observables_s includes building the
+    insertion rows).  Returns (record, warm): warm holds the right boundary
+    to warm-start the next grid point; a "left" entry in warm is ignored.
     """
     solves = []
-    seconds = dict.fromkeys(("transfer_s", "boundaries_s", "observables_s"),
-                            0.0)
+    seconds = dict.fromkeys(PHASES, 0.0)
 
     def timed(key, fn, *args, **kwargs):
         t0 = time.perf_counter()
@@ -877,9 +876,7 @@ def phase_diagram_point(z1, z2, L, projected=True, loop_z=None, loop_x=None,
         "iterations": sum(x.iterations for x in solves),
         "residual_ratio": max(x.residual / x.lam0 for x in solves),
     }
-    rec["bffm_z_l18"] = (observable(bffm, tm, loop_z, b, x_type=False, tol=tol)
-                        if loop_z is not None else np.nan)
-    rec["bffm_x_l18"] = (observable(bffm, tm, loop_x, b, x_type=True, tol=tol)
-                        if loop_x is not None else np.nan)
+    for key, (loop, x_type) in (loops or {}).items():
+        rec[key] = observable(bffm, tm, loop, b, x_type=x_type, tol=tol)
     rec.update(seconds)
     return rec, {"right": b.right}

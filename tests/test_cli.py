@@ -511,6 +511,26 @@ def test_unknown_config_keys_exit_2(tmp_path):
                 cli.check_keys(verb, {key: 1})
     for name, (verb, cfg) in cli.EXPERIMENT_DEFAULTS.items():
         cli.check_keys(verb, cfg)
+    # keys that only another source of the verb's states reads, and a
+    # source given to a verb with only one
+    sweep = {"total_time": 5, "protocol": "two_stage"}
+    for i, (verb, cfg, key) in enumerate((
+            ("fit", dict(sweep, n_atoms=12, delta_over_omega=[1.0]),
+             "protocol, total_time"),
+            ("tee", dict(sweep, n_atoms=36, source="sweep",
+                         checkpoint_times=[1.0], points=[{"label": "rvb"}]),
+             "points"),
+            ("tee", dict(sweep, n_atoms=36, points=[{"label": "rvb"}],
+                         checkpoint_times=[1.0], model="pxp"),
+             "checkpoint_times, model, protocol, total_time"),
+            ("sweep", {"n_atoms": 12, "sweep_times": [1.0],
+                       "source": "sweep"}, "source"))):
+        out = tmp_path / ("source%d" % i)
+        assert run_cli([verb, "--config", write_config(tmp_path, "s.json", cfg),
+                        "--out", str(out)]) == 2
+        assert not out.exists()
+        with pytest.raises(cli.ConfigError, match=key + "$"):
+            cli.check_keys(verb, cfg)
 
 
 def test_experiment_name_validation(tmp_path):
@@ -653,15 +673,30 @@ def test_golden_manifest_configs_pass_check_keys():
         cli.check_keys(verb, manifest["config"])
 
 
-def test_fit_sweep_experiment_reaches_its_ratios(tmp_path):
-    # fig2_fit_sweep_T* at N = 12: the sweep passes every ratio of the grid
+def assert_records_one_sweep(manifest, traj, n_atoms):
+    """The manifest's one sweep entry holds the counters of ``traj``."""
+    [record] = manifest["sweep"]
+    assert 0.0 <= record.pop("propagation_s") <= manifest["wall_clock_s"]
+    assert record == {"n_atoms": n_atoms, "sweeps": 1,
+                      "n_steps": traj.n_steps, "matvecs": traj.matvecs,
+                      "krylov_error": traj.krylov_error}
+
+
+def test_fit_sweep_experiment_reaches_its_ratios(tmp_path, op12):
+    # fig2_fit_sweep_T* at N = 12: the sweep passes every ratio of the grid,
+    # and the manifest records its solver counters
     cfg = write_config(tmp_path, "c.json", {
         "n_atoms": 12, "delta_over_omega": [1.0, 2.4], "total_time": 5.0})
-    out = str(tmp_path / "out")
+    out = tmp_path / "out"
     assert run_cli(["fit", "--experiment", "fig2_fit_sweep_T25",
-                    "--config", cfg, "--out", out]) == 0
-    cols = read_csv(os.path.join(out, "fits.csv"))
+                    "--config", cfg, "--out", str(out)]) == 0
+    cols = read_csv(str(out / "fits.csv"))
     assert np.allclose(cols["delta_over_omega"], [1.0, 2.4])
+    schedule = SweepSchedule.two_stage_protocol(5.0, -5.0, 3.5)
+    traj = evolve_sweep(op12, schedule, checkpoints=[
+        schedule.time_at_detuning_ratio(r) for r in (1.0, 2.4)])
+    assert_records_one_sweep(json.loads((out / "manifest.json").read_text()),
+                             traj, 12)
 
 
 def test_verify_compares_number_lists_and_non_finite_cells(tmp_path):
@@ -733,3 +768,4 @@ def test_tee_sweep_source(tmp_path, monkeypatch, cluster24, basis24):
                      gamma(abs_state(traj.snapshots[t]))] for t in checks]
     manifest = json.loads((out / "manifest.json").read_text())
     assert sector_sizes(manifest) == [N24_SECTOR]
+    assert_records_one_sweep(manifest, traj, 24)

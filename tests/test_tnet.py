@@ -601,12 +601,13 @@ def test_string_expectations_and_bffm():
         string_expectation(tmu, loop, x_type=True)
 
 
+POINT_KEYS = {"z1", "z2", "density", "dn_dz1", "xi", "iterations",
+              "residual_ratio", "transfer_s", "boundaries_s", "observables_s"}
+
+
 def test_phase_diagram_point_record():
     rec, warm = phase_diagram_point(0.3, 0.3, 2, compute_xi=True)
-    assert set(rec) == {"z1", "z2", "density", "dn_dz1", "xi",
-                        "bffm_z_l18", "bffm_x_l18", "iterations",
-                        "residual_ratio", "transfer_s", "boundaries_s",
-                        "observables_s"}
+    assert set(rec) == POINT_KEYS
     assert all(rec[k] > 0.0
                for k in ("transfer_s", "boundaries_s", "observables_s"))
     # the counters sum the three boundary solves (central, z1 -/+ fd_step)
@@ -623,8 +624,26 @@ def test_phase_diagram_point_record():
     assert rec2["density"] == pytest.approx(rec["density"], abs=1e-9)
     # an x loop on the unprojected network is refused, not left NaN
     with pytest.raises(TnetError, match="projected"):
-        phase_diagram_point(0.3, 0.3, 2, projected=False,
-                            loop_x=hexagon_loop("diagonal", 1))
+        phase_diagram_point(0.3, 0.3, 2, projected=False, loops={
+            "bffm_x": (hexagon_loop("diagonal", 1), True)})
+
+
+@pytest.mark.parametrize("z1,z2", [(0.3, 0.3), (1.5, 0.1)])
+def test_phase_diagram_point_loops_are_bffm_on_a_cold_solve(z1, z2):
+    # each loops entry is tnet.bffm on the point's own cold boundaries,
+    # to the last bit, as bffm-scaling writes it
+    hexagon, strip = hexagon_loop("diagonal", 1), parallelogram_loop(
+        "diagonal", 2, 1)
+    loops = {(i, x_type): (loop, x_type) for i, loop in enumerate(
+        (hexagon, strip)) for x_type in (False, True)}
+    rec, _ = phase_diagram_point(z1, z2, 4, True, loops, fd_step=None,
+                                 compute_xi=False)
+    assert set(rec) == POINT_KEYS | set(loops)
+    tm = cylinder_transfer(z1, z2, 4)
+    b = dominant_eigenpair(tm, compute_lam1=False)
+    assert rec["iterations"] == b.iterations
+    for key, (loop, x_type) in loops.items():
+        assert rec[key] == bffm(tm, loop, b, x_type=x_type)
 
 
 @pytest.mark.parametrize("projected,L,z1,z2", [
