@@ -28,10 +28,10 @@ from .geometry import (build_cluster, cluster_preset, constraint_graph,
                        kitaev_preskill_regions, tee_cluster)
 from .hilbert import (enumerate_basis, enumerate_maximal_covers, rvb_state,
                       abs_state)
-from .model import (HamiltonianSpec, HamiltonianOperator, SweepSchedule,
-                    full_rydberg_spec)
+from .model import (PROTOCOLS, HamiltonianSpec, HamiltonianOperator,
+                    SweepSchedule, full_rydberg_spec)
 from .evolve import evolve_sweep
-from .spectrum import fidelity_susceptibility_scan, groundstate
+from .spectrum import DLAMBDA, fidelity_susceptibility_scan, groundstate
 from .ansatz import AnsatzBuilder, fit_trajectory
 from . import tnet
 from . import entangle
@@ -147,25 +147,20 @@ def _build_loop(spec):
 
 
 def _make_schedule(cfg, total):
-    """The configured protocol over a sweep of duration ``total``."""
-    protocol = cfg.get("protocol", "default")
-    delta0 = cfg.get("delta0", -5.0)
-    delta1 = cfg.get("delta1", 1.5 if protocol == "default" else 3.5)
-    stages = cfg.get("stage_times")
-    if stages is not None:
-        if len(stages) != 3:
-            raise ConfigError("stage_times must have exactly 3 entries")
-        if abs(sum(stages) - total) > 1e-9 * max(total, 1.0):
-            raise ConfigError(
-                "stage_times sum to %.17g but the sweep lasts %.17g"
-                % (sum(stages), total))
-        return SweepSchedule(total, stages[0], stages[1], stages[2],
-                             delta0=delta0, delta1=delta1)
-    if protocol == "default":
-        return SweepSchedule.default_protocol(total, delta0, delta1)
-    if protocol == "two_stage":
-        return SweepSchedule.two_stage_protocol(total, delta0, delta1)
-    raise ConfigError("protocol must be default or two_stage")
+    """The configured ``model.PROTOCOLS`` entry over a sweep of duration
+    ``total``, with the config's ``stage_times``, ``delta0``, ``delta1``."""
+    name = cfg.get("protocol", "default")
+    if name not in PROTOCOLS:
+        raise ConfigError("protocol must be %s" % " or ".join(PROTOCOLS))
+    fractions, delta0, delta1 = PROTOCOLS[name]
+    stages = cfg.get("stage_times", [f * total for f in fractions])
+    if len(stages) != 3:
+        raise ConfigError("stage_times must have exactly 3 entries")
+    if abs(sum(stages) - total) > 1e-9 * max(total, 1.0):
+        raise ConfigError("stage_times sum to %.17g but the sweep lasts %.17g"
+                          % (sum(stages), total))
+    return SweepSchedule(total, *stages, delta0=cfg.get("delta0", delta0),
+                         delta1=cfg.get("delta1", delta1))
 
 
 # --- output files ---------------------------------------------------------
@@ -273,7 +268,15 @@ class Run:
 
 # --- shared builders ------------------------------------------------------
 
-def _cluster_from_config(cfg):
+def _cluster_from_config(cfg, size=None):
+    """The cluster that the config's one cluster key chooses: the preset of
+    ``size``, one of its ``sizes``, or that of ``cells`` or ``n_atoms``."""
+    given = [k for k in ("sizes", "cells", "n_atoms") if k in cfg]
+    if len(given) > 1:
+        raise ConfigError("%s and %s both choose the cluster; give one"
+                          % tuple(given[:2]))
+    if size is not None:
+        return cluster_preset(size)
     if "cells" in cfg:
         cells = cfg["cells"]
         if len(cells) not in (2, 3):
@@ -383,6 +386,9 @@ def cmd_gs_scan(cfg, run):
     lambdas = _grid(cfg, "lambda")
     if np.any(np.diff(lambdas) <= 0):
         raise ConfigError("lambda must be strictly increasing")
+    if np.any(lambdas * (lambdas + DLAMBDA) <= 0):
+        raise ConfigError("every lambda and lambda + %g must be non-zero and "
+                          "of one sign" % DLAMBDA)
     _record_sector(run, cluster.n_atoms, op)
     scan = fidelity_susceptibility_scan(op, lambdas, rvb=rvb)
     write_csv(run.path("gs_scan.csv"),
@@ -401,27 +407,26 @@ def _trajectory_name(n_atoms, delta1, total):
 
 def cmd_sweep(cfg, run):
     outputs = []
-    sizes = cfg["sizes"] if "sizes" in cfg else [_need(cfg, "n_atoms", int)]
+    clusters = [_cluster_from_config(cfg, n) for n in cfg.get("sizes", [None])]
     times = _grid(cfg, "sweep_times")
     delta1s = _grid(cfg, "delta1_grid") if "delta1_grid" in cfg else [None]
     write_trajectories = cfg.get("write_trajectories", False)
     if write_trajectories:
-        names = [_trajectory_name(n, d, t)
-                 for n in sizes for d in delta1s for t in times]
+        names = [_trajectory_name(c.n_atoms, d, t)
+                 for c in clusters for d in delta1s for t in times]
         shared = sorted({n for n in names if names.count(n) > 1})
         if shared:
             raise ConfigError("sweeps would overwrite each other's "
                               "trajectory files: %s" % ", ".join(shared))
     rows = []
-    for n_atoms in sizes:
-        sub = dict(cfg)
-        sub["n_atoms"] = int(n_atoms)
-        _, basis, covers, op = _operator(sub)
+    for cluster in clusters:
+        n_atoms = cluster.n_atoms
+        _, basis, covers, op = _operator(cfg, cluster)
         rvb = rvb_state(covers, basis)
         _record_sector(run, n_atoms, op)
         counters = []
         for delta1 in delta1s:
-            scfg = sub if delta1 is None else dict(sub, delta1=float(delta1))
+            scfg = cfg if delta1 is None else dict(cfg, delta1=float(delta1))
             for total in times:
                 schedule = _make_schedule(scfg, float(total))
                 traj = _timed_sweep(counters, op, schedule, rvb=rvb,

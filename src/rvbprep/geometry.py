@@ -266,7 +266,7 @@ def build_cluster(n1, n2, shear=0):
 def cluster_preset(n_atoms):
     """Named cluster presets (N in {6, 12, 24, 36, 48})."""
     if n_atoms not in PRESETS:
-        raise GeometryError("no preset with %d atoms" % n_atoms)
+        raise GeometryError("no preset with %s atoms" % n_atoms)
     return build_cluster(*PRESETS[n_atoms])
 
 

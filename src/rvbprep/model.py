@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -269,60 +269,68 @@ class _PiecewiseLinear:
         return (self.integral_to(hi) - self.integral_to(lo)) / (hi - lo)
 
 
+# name: (stage durations as fractions of T, delta0, delta1); two_stage has
+# no switch-off stage, so Delta keeps ramping until the end
+PROTOCOLS = {"default": ((0.1, 0.8, 0.1), -5.0, 1.5),
+             "two_stage": ((0.1, 0.9, 0.0), -5.0, 3.5)}
+
+
 @dataclass
 class SweepSchedule:
     """Three-stage ramp: switch Omega on, sweep Delta, switch Omega off.
 
     The piecewise-linear profiles are smoothed by a uniform (moving-average)
     filter whose window shrinks near t = 0 and t = T, and closes within
-    1e-9 T of them, so that the boundary values are exact.
+    1e-9 T of them, so that the boundary values are exact.  A zero-length
+    stage at either end adds no segment: its slope would be undefined.
     """
 
     total_time: float
     t1: float
     t2: float
     t3: float
-    delta0: float = -5.0
-    delta1: float = 1.5
+    delta0: float = PROTOCOLS["default"][1]
+    delta1: float = PROTOCOLS["default"][2]
     smoothing_window: float = None
-    _omega: _PiecewiseLinear = field(default=None, repr=False)
-    _delta: _PiecewiseLinear = field(default=None, repr=False)
 
     def __post_init__(self):
         T = self.total_time
         if T <= 0:
             raise ModelError("total time must be positive")
-        if abs(self.t1 + self.t2 + self.t3 - T) > 1e-9 * max(T, 1.0):
-            raise ModelError("stage durations must sum to the total time")
+        stages = (self.t1, self.t2, self.t3)
+        if min(stages) < 0 or abs(sum(stages) - T) > 1e-9 * max(T, 1.0):
+            raise ModelError("stage durations must be >= 0 and sum to T")
         if self.smoothing_window is None:
             self.smoothing_window = 0.025 * T
-        if self.t3 > 0:
-            self._omega = _PiecewiseLinear(
-                [0.0, self.t1, self.t1 + self.t2, T], [0.0, 1.0, 1.0, 0.0])
-            self._delta = _PiecewiseLinear(
-                [0.0, self.t1, self.t1 + self.t2, T],
-                [self.delta0, self.delta0, self.delta1, self.delta1])
-        else:
-            # no hold stage: drop the zero-width final segment, whose
-            # undefined slope would poison the smoothing integrals at t = T
-            self._omega = _PiecewiseLinear(
-                [0.0, self.t1, T], [0.0, 1.0, 1.0])
-            self._delta = _PiecewiseLinear(
-                [0.0, self.t1, T], [self.delta0, self.delta0, self.delta1])
+        # knots bound the stages that last; the last is T itself, not a sum
+        kept = [k for k, t in enumerate(stages) if t > 0]
+        knots = slice(kept[0], kept[-1] + 2)
+        xs = [0.0, self.t1, self.t1 + self.t2, T][knots]
+        xs[-1] = T
+        self._omega = _PiecewiseLinear(xs, [0.0, 1.0, 1.0, 0.0][knots])
+        self._delta = _PiecewiseLinear(
+            xs, [self.delta0, self.delta0, self.delta1, self.delta1][knots])
 
     @classmethod
-    def default_protocol(cls, total_time, delta0=-5.0, delta1=1.5,
+    def _named(cls, name, total_time, delta0, delta1, smoothing_window):
+        fractions, default0, default1 = PROTOCOLS[name]
+        return cls(total_time, *(f * total_time for f in fractions),
+                   default0 if delta0 is None else delta0,
+                   default1 if delta1 is None else delta1, smoothing_window)
+
+    @classmethod
+    def default_protocol(cls, total_time, delta0=None, delta1=None,
                          smoothing_window=None):
-        """T1 = T3 = 0.1 T, T2 = 0.8 T."""
-        return cls(total_time, 0.1 * total_time, 0.8 * total_time,
-                   0.1 * total_time, delta0, delta1, smoothing_window)
+        """T1 = T3 = 0.1 T, T2 = 0.8 T; a Delta left None is the table's."""
+        return cls._named("default", total_time, delta0, delta1,
+                          smoothing_window)
 
     @classmethod
-    def two_stage_protocol(cls, total_time, delta0=-5.0, delta1=3.5,
+    def two_stage_protocol(cls, total_time, delta0=None, delta1=None,
                            smoothing_window=None):
-        """No switch-off stage: Delta keeps ramping until the end (T3 = 0)."""
-        return cls(total_time, 0.1 * total_time, 0.9 * total_time, 0.0,
-                   delta0, delta1, smoothing_window)
+        """T1 = 0.1 T, T2 = 0.9 T and no switch-off stage."""
+        return cls._named("two_stage", total_time, delta0, delta1,
+                          smoothing_window)
 
     def _half_width(self, t):
         w = min(0.5 * self.smoothing_window, t, self.total_time - t)

@@ -16,6 +16,7 @@ DEGENERACY_GAP = 1e-8
 DENSE_CUTOFF = 600
 START_SEED = 7          # seeds ARPACK's start vector when none is given
 MAX_ITER = 20000        # ARPACK restarts
+DLAMBDA = 0.0025        # from each scanned lambda to its partner
 
 
 class SpectrumError(RuntimeError):
@@ -114,7 +115,7 @@ def groundstate(op, omega, delta, tol=1e-10, v0=None):
     return GroundstateResult(e0, state, gap, gap < DEGENERACY_GAP, res, mult)
 
 
-def fidelity_susceptibility_scan(op, lambdas, dlambda=0.0025, rvb=None,
+def fidelity_susceptibility_scan(op, lambdas, dlambda=DLAMBDA, rvb=None,
                                  tol=1e-10):
     """F(lambda) over a sorted lambda grid at fixed Omega = 1.
 
@@ -131,6 +132,9 @@ def fidelity_susceptibility_scan(op, lambdas, dlambda=0.0025, rvb=None,
         raise SpectrumError("lambda grid must be strictly increasing")
     if dlambda <= 0:
         raise SpectrumError("dlambda must be positive")
+    if np.any(lambdas * (lambdas + dlambda) <= 0):
+        raise SpectrumError("every lambda and lambda + dlambda must be "
+                            "non-zero and of one sign: Delta = 1/lambda")
 
     n = len(lambdas)
     energies = np.empty(n)

@@ -676,20 +676,13 @@ def _loop_mods(loop, L, open_string, x_type):
             raise TnetError("loop atom/triangle addressing mismatch")
         insert(tri, ("xstring", ak % 3))
 
-    # occupation-layer edge overrides along the string path
+    # occupation-layer edge overrides where the string path runs along the
+    # cycle; an open string's two end pairs have one string triangle
     string_set = set(map(tuple, tris))
-    ell = len(loop.triangles)
-    h = len(tris)
-    pairs = []
-    for i in range(h if open_string else ell):
-        t_cur = tuple(loop.triangles[i % ell])
-        t_nxt = tuple(loop.triangles[(i + 1) % ell])
-        pairs.append((t_cur, t_nxt))
-    if open_string:
-        pairs.append((tuple(loop.triangles[-1]), tuple(loop.triangles[0])))
-        # the pair list now holds h-1 interior edges plus the two endpoints:
-        # (tris[h-1], tris[h]) and (tris[-1]=cycle end, tris[0])
-    for t_a, t_b in pairs:
+    cycle = list(map(tuple, loop.triangles))
+    for t_a, t_b in zip(cycle, cycle[1:] + cycle[:1]):
+        if t_a not in string_set and t_b not in string_set:
+            continue
         shared = set(triangle_vertices(t_a)) & set(triangle_vertices(t_b))
         if len(shared) != 1:
             raise TnetError("consecutive loop triangles share != 1 vertex")
@@ -711,10 +704,8 @@ def _loop_mods(loop, L, open_string, x_type):
             occ = XOR
         elif first in string_set:
             occ = ENDCAP            # rows of ENDCAP are the string triangle
-        elif second in string_set:
+        else:                       # {first, second} is {t_a, t_b}
             occ = ENDCAP.T
-        else:
-            raise TnetError("endpoint edge touches no string triangle")
         getattr(get(row), target)[key] = double_edge_matrix(occ)
     return rows
 
@@ -744,25 +735,15 @@ def bffm(tm, loop, boundaries=None, x_type=False, tol=DEFAULT_TOL):
 def torus_amplitudes(z1, z2, cluster, basis, projected=True):
     """Amplitudes on a small torus by literal network contraction.
 
-    Contracts the single-layer triangle tensors and edge matrices with
-    numpy.einsum, keeping all physical legs open, then reads off the
-    amplitude of every basis configuration.  Independent of both the
+    Contracts the single-layer triangle tensors and edge matrices row by
+    row with numpy.einsum, keeping all physical legs open, then reads off
+    the amplitude of every basis configuration.  Independent of both the
     closed-form construction and the transfer-matrix code path.
     """
     if cluster.shear != 0:
         raise TnetError("torus contraction requires an unsheared cluster")
     if 2 * cluster.n1 * cluster.n2 > 12:
         raise TnetError("torus too large for direct contraction")
-    return _torus_contract(z1, z2, cluster, basis, projected)
-
-
-def _torus_contract(z1, z2, cluster, basis, projected):
-    """Row-by-row single-layer contraction with open physical legs.
-
-    Blocks fuse up(n, m) with down(n-1, m); bond matrices are absorbed on
-    the internal, left, and down legs of each block so every bond carries
-    its matrix exactly once.
-    """
     net = NETWORKS[projected]
     tri = single_triangle_tensor(z1, z2, projected)
     e_ket = np.kron(XOR, net.occ_edge)
@@ -772,7 +753,8 @@ def _torus_contract(z1, z2, cluster, basis, projected):
     n1, n2 = cluster.n1, cluster.n2
 
     # block[cu, cd, l, r, d, u]: up(n, m) fused with down(n-1, m); bond
-    # matrices absorbed on the internal, left, and down legs
+    # matrices absorbed on the internal, left, and down legs, so that every
+    # bond carries its matrix exactly once
     block = np.einsum("qlxd,xy,pyru->pqlrdu", tri, e_ket, tri)
     block = np.einsum("pqlrdu,kl,ed->pqkreu", block, e_ket, e_ket)
     blockf = block.reshape(n_phys * n_phys, D, D, D, D)

@@ -651,6 +651,60 @@ def test_sweep_sizes_without_n_atoms(tmp_path):
     assert list(cols["total_time"]) == [2.0, 2.0]
 
 
+@pytest.mark.parametrize("verb, cfg, keys", [
+    # two keys that each choose the cluster: the run used one and ignored
+    # the other, and labelled a 12-atom row with n_atoms 24
+    ("sweep", {"sizes": [12, 24], "cells": [2, 1], "sweep_times": [1.0]},
+     ("sizes", "cells")),
+    ("sweep", {"sizes": [12, 24], "n_atoms": 24, "sweep_times": [1.0]},
+     ("sizes", "n_atoms")),
+    ("cluster", {"cells": [2, 1], "n_atoms": 24}, ("cells", "n_atoms")),
+    ("gs-scan", {"cells": [2, 1], "n_atoms": 24, "lambda": [0.5]},
+     ("cells", "n_atoms")),
+    ("sweep", {"cells": [2, 1], "n_atoms": 24, "sweep_times": [1.0]},
+     ("cells", "n_atoms")),
+    ("fit", {"cells": [2, 1], "n_atoms": 24, "delta_over_omega": [1.0]},
+     ("cells", "n_atoms")),
+    # the name is checked before stage_times; it used to set delta1 = 3.5
+    ("sweep", {"n_atoms": 12, "sweep_times": [2.0], "protocol": "bogus",
+               "stage_times": [0.2, 1.6, 0.2]}, ("protocol",)),
+    # Delta = 1/lambda is infinite at lambda = 0: ARPACK failed, exit 1
+    ("gs-scan", {"n_atoms": 12, "lambda": [0.0, 0.5]}, ("lambda",)),
+    ("gs-scan", {"n_atoms": 12, "lambda": [-0.001, 0.5]}, ("lambda",))])
+def test_keys_that_cannot_run_together_exit_2(tmp_path, verb, cfg, keys):
+    out = tmp_path / "out"
+    assert run_cli([verb, "--config", write_config(tmp_path, "c.json", cfg),
+                    "--out", str(out)]) == 2
+    assert sorted(os.listdir(out)) == ["manifest.json"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["error"].startswith("ConfigError: ")
+    for key in keys:
+        assert key in manifest["error"]
+
+
+def test_sweep_size_without_a_preset_fails(tmp_path):
+    # int(24.5) once swept the 24-atom cluster and labelled its row 24.5
+    cfg = write_config(tmp_path, "c.json", {
+        "sizes": [24.5], "sweep_times": [1.0]})
+    out = tmp_path / "out"
+    assert run_cli(["sweep", "--config", cfg, "--out", str(out)]) == 1
+    assert sorted(os.listdir(out)) == ["manifest.json"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error"] == "GeometryError: no preset with 24.5 atoms"
+
+
+def test_sweep_with_a_single_stage(tmp_path):
+    # stage_times (T, 0, 0) once made Omega NaN near T, and the run exit 1
+    cfg = write_config(tmp_path, "c.json", {
+        "n_atoms": 12, "sweep_times": [4.0], "stage_times": [4.0, 0.0, 0.0],
+        "n_samples": 10})
+    out = str(tmp_path / "out")
+    assert run_cli(["sweep", "--config", cfg, "--out", out]) == 0
+    cols = read_csv(os.path.join(out, "sweep.csv"))
+    assert np.all(np.isfinite(cols["final_overlap"]))
+
+
 def test_golden_directories_are_named_experiments():
     golden_dir = os.path.join(os.path.dirname(__file__), os.pardir,
                               "goldens")

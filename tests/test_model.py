@@ -171,6 +171,31 @@ def test_two_stage_protocol_keeps_drive_on():
     assert s.t3 == 0.0
 
 
+@pytest.mark.parametrize("split", [(1, 0, 0), (0, 1, 0), (0, 0, 1),
+                                   (0.5, 0.5, 0), (0, 0.5, 0.5),
+                                   (0.5, 0, 0.5)])
+def test_zero_length_stages_keep_profiles_finite(split):
+    # (T, 0, 0) once left a zero-width last segment whose slope made
+    # Omega(t) NaN within the smoothing half-width of T
+    T = 10.0
+    s = SweepSchedule(T, *(f * T for f in split), delta0=-5.0, delta1=1.5)
+    ts = np.concatenate([np.linspace(0.0, T, 4001),
+                         T - T * np.array([1e-9, 5e-10, 1e-12, 0.0])])
+    om = np.array([s.omega(t) for t in ts])
+    de = np.array([s.delta(t) for t in ts])
+    assert np.all(np.isfinite(om)) and np.all(np.isfinite(de))
+    assert np.all(om >= -1e-12) and np.all(om <= 1.0 + 1e-12)
+    assert np.all(de >= -5.0 - 1e-12) and np.all(de <= 1.5 + 1e-12)
+
+
+def test_protocol_knots():
+    s = SweepSchedule.default_protocol(40.0)
+    assert list(s._omega.xs) == [0.0, s.t1, s.t1 + s.t2, 40.0]
+    s = SweepSchedule.two_stage_protocol(30.0)
+    assert list(s._omega.xs) == [0.0, s.t1, 30.0]
+    assert list(s._delta.xs) == list(s._omega.xs)
+
+
 def test_stage_durations_must_sum():
     with pytest.raises(ModelError):
         SweepSchedule(10.0, 2.0, 2.0, 2.0)

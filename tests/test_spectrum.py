@@ -110,6 +110,22 @@ def test_scan_input_validation(op12):
         fidelity_susceptibility_scan(op12, [0.5, 1.0], dlambda=0.0)
 
 
+@pytest.mark.parametrize("lambdas, dlambda", [
+    ([0.0, 0.5], 0.0025),           # lambda = 0
+    ([-0.0025, 0.5], 0.0025),       # its partner lambda + dlambda = 0
+    ([-0.001, 0.5], 0.0025),        # a pair of opposite signs
+    ([-0.5, -0.004], 0.01)])
+def test_scan_refuses_an_infinite_detuning(op12, lambdas, dlambda):
+    # Delta = 1/lambda is infinite at 0, and the pair would straddle it
+    with pytest.raises(SpectrumError, match="non-zero and of one sign"):
+        fidelity_susceptibility_scan(op12, lambdas, dlambda=dlambda)
+
+
+def test_scan_takes_negative_lambdas(op12):
+    scan = fidelity_susceptibility_scan(op12, [-1.0, -0.5])
+    assert np.all(np.isfinite(scan.energies))
+
+
 # --- the fully symmetric sector -------------------------------------------
 # The sector lies inside the zero-momentum (k = 0) one: its states are
 # invariant under the translations and under every other symmetry.
